@@ -13,7 +13,8 @@
 # cycles), or — on hosts with >= 4 hardware threads — if sharded locking is
 # slower than global in wall-clock at 8 vCPUs; channel if the zero-copy
 # seal+open path is below 4x the scalar baseline at 64 KiB or the 16-session
-# sharded aggregate is below 2x one session. Any of those fails this script.
+# sharded aggregate is below 2x one session; scripts/tcb_loc.sh if src/monitor
+# exceeds 5,000 non-blank, non-comment lines. Any of those fails this script.
 # BENCH_emc_scaling.json carries both series: "cells" (simulated cycles,
 # deterministic engine) and "engine_cells" (wall-clock ns, real threads vs
 # their oracle twins).
@@ -28,6 +29,12 @@ cmake --build "$BUILD_DIR" -j
 
 mkdir -p "$OUT_DIR"
 export EREBOR_BENCH_JSON="$OUT_DIR"
+
+echo "== tcb (monitor source size; paper section 11: <5k LoC) =="
+# Fails if src/monitor grows past the paper's 5,000-line figure.
+tcb_lines=$(scripts/tcb_loc.sh)
+echo "src/monitor: $tcb_lines non-blank, non-comment lines (limit 5000)"
+echo
 
 echo "== fig8 (LMBench microbenchmarks, TLB off/on cross-check) =="
 EREBOR_TRACE=1 EREBOR_TRACE_JSON="$OUT_DIR/fig8_trace.json" \
@@ -57,7 +64,7 @@ echo "== channel (attested-channel seal+open and multi-session ingest) =="
 "$BUILD_DIR/bench/channel_throughput"
 
 echo
-echo "== batched_mmu (per-op vs batched vs ring MMU-update ablation) =="
+echo "== batched_mmu (per-op vs ring MMU-update ablation) =="
 # Fails if the ring path recovers less than a majority of the Erebor-added
 # fork/mmap/pagefault cost, or if the multi-vCPU ring burst diverges between
 # the real-thread engine and its deterministic oracle. EREBOR_BENCH_ITERS

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 check: configure, build, run the full test suite (tier1, then the
-# real-thread engine tests, then the chaos soak), re-run it under ASan+UBSan,
-# run the threads label again under ThreadSanitizer, then a tracing smoke test
-# (the trace-vs-counter EMC cross-check must hold with the tracer enabled).
+# real-thread engine tests, then the chaos soak), build the Release
+# configuration, re-run the suite under ASan+UBSan, run the threads label again
+# under ThreadSanitizer, then a tracing smoke test (the trace-vs-counter EMC
+# cross-check must hold with the tracer enabled).
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   EREBOR_SKIP_SANITIZE=1 skips the sanitizer passes (e.g. on memory-tight CI).
@@ -24,6 +25,12 @@ cmake --build "$BUILD_DIR" -j
 # the chaos engine, plus the pool-mode engine-equivalence oracle.
 (cd "$BUILD_DIR" && ctest --output-on-failure -j -L churn)
 (cd "$BUILD_DIR" && ctest --output-on-failure -j -L chaos)
+
+# Release build: every build type must compile. The libraries build with
+# -Werror, and GCC's -O3 diagnostics differ from the default RelWithDebInfo's.
+RELEASE_DIR="${BUILD_DIR}-release"
+cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build "$RELEASE_DIR" -j
 
 # Sanitizer pass: the whole suite again with AddressSanitizer + UBSan. The chaos
 # tests drive every injected-fault recovery path, which is exactly where lifetime

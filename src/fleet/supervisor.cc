@@ -21,6 +21,16 @@ constexpr int kMaxResendRounds = 8;
 // Hostile ring descriptors published per attack round (each is one strike).
 constexpr int kRingStrikesPerRound = 2;
 constexpr uint8_t kBogusRingOpcode = 0xC7;
+// Plaintext bytes per request record (benign requests and hostile wires alike).
+constexpr uint64_t kPayloadBytes = 96;
+// Scheduler slices a request may pump before the client retransmits; the
+// retransmit count itself is bounded by the client's jittered retry budget.
+constexpr uint64_t kRequestTimeoutSlices = 800;
+// Health floor: a tenant whose score decays to or below this is quarantined by
+// the supervisor (monitor-driven quarantines are detected independently).
+constexpr double kHealthFloor = 70.0;
+// Replacements a tenant may consume before it is shed instead of replaced.
+constexpr int kMaxReplacementsPerTenant = 1;
 
 // Per-tenant service cost tiers, fig9-flavoured: light / medium / heavy
 // request-handling compute.
@@ -425,7 +435,7 @@ Status FleetSupervisor::Start() {
 }
 
 void FleetSupervisor::ServeOne(TenantState& t, int round) {
-  Bytes payload(config_.payload_bytes);
+  Bytes payload(kPayloadBytes);
   SplitMix64 fill(config_.seed ^ (static_cast<uint64_t>(t.tenant) << 32) ^
                   static_cast<uint64_t>(round));
   for (uint8_t& b : payload) {
@@ -466,7 +476,7 @@ void FleetSupervisor::ServeOne(TenantState& t, int round) {
           }
           return false;
         },
-        config_.request_timeout_slices);
+        kRequestTimeoutSlices);
   }
   if (ok) {
     const uint64_t latency_ns = CyclesToNs(NowCycles() - submit_cycles);
@@ -491,7 +501,7 @@ void FleetSupervisor::FireAttack(TenantState& t, int round) {
     case AttackClass::kForgedRecord: {
       // Junk keys, own sandbox id, in-window sequence: must die as a global
       // auth reject, charged to no session.
-      Bytes junk(config_.payload_bytes, 0xEE);
+      Bytes junk(kPayloadBytes, 0xEE);
       world_->ClientSend(SealRecordWire(junk_keys_.client_to_server,
                                         PacketType::kDataRecord, t.sandbox->id,
                                         t.sandbox->session.next_recv_seq, junk));
@@ -508,7 +518,7 @@ void FleetSupervisor::FireAttack(TenantState& t, int round) {
         }
       }
       Sandbox* target = victim != nullptr ? victim->sandbox : t.sandbox;
-      Bytes junk(config_.payload_bytes, 0xDD);
+      Bytes junk(kPayloadBytes, 0xDD);
       world_->ClientSend(SealRecordWire(junk_keys_.client_to_server,
                                         PacketType::kDataRecord, target->id,
                                         target->session.next_recv_seq, junk));
@@ -528,7 +538,7 @@ void FleetSupervisor::FireAttack(TenantState& t, int round) {
     case AttackClass::kGateProbe: {
       // Poke the compromised workload: the input it receives triggers its
       // forbidden syscall inside the sealed sandbox (kill + quarantine).
-      Bytes poke(config_.payload_bytes, static_cast<uint8_t>(round));
+      Bytes poke(kPayloadBytes, static_cast<uint8_t>(round));
       world_->ClientSend(t.client->SealData(poke));
       break;
     }
@@ -590,7 +600,7 @@ void FleetSupervisor::SuperviseTenant(TenantState& t) {
              kSessionRejectPenalty * static_cast<double>(rejects) -
              kRingStrikePenalty * static_cast<double>(ring_strikes);
   const bool dead = SandboxDead(t);
-  if (!dead && t.health > config_.health_floor) {
+  if (!dead && t.health > kHealthFloor) {
     return;
   }
   if (!dead) {
@@ -598,7 +608,7 @@ void FleetSupervisor::SuperviseTenant(TenantState& t) {
                             " at or below floor");
   }
   ++t.quarantines;
-  if (t.replacements >= config_.max_replacements_per_tenant) {
+  if (t.replacements >= kMaxReplacementsPerTenant) {
     // Replacement budget spent: this tenant's traffic is shed from here on.
     // The fleet keeps serving everyone else.
     admission_.SetState(t.tenant, TenantAdmitState::kShedding);
@@ -703,7 +713,7 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   // Pre-seal with each live session's real keys, continuing its sequence space.
   std::vector<int> live;
   std::vector<std::vector<Bytes>> records(tenants_.size());
-  Bytes payload(config_.payload_bytes, 0x42);
+  Bytes payload(kPayloadBytes, 0x42);
   for (TenantState& t : tenants_) {
     if (SandboxDead(t) || t.client == nullptr || !t.client->established()) {
       continue;

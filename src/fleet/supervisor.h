@@ -69,7 +69,6 @@ struct FleetConfig {
   int standby_pool = 2;
   int requests_per_tenant = 10;
   uint64_t seed = 1;
-  uint64_t payload_bytes = 96;
   // Execution engine for the RunBurstIngest parallel region; the serving loop
   // itself is scheduler-driven and single-threaded on both engines.
   ExecMode exec = ExecMode::kDeterministic;
@@ -80,14 +79,6 @@ struct FleetConfig {
   // serve round 0 benignly (their sessions must exist to be attacked), then fire
   // their attack every round from round 1 on.
   std::vector<AttackClass> attacks;
-  // Scheduler slices a request may pump before the client retransmits; the
-  // retransmit count itself is bounded by the client's jittered retry budget.
-  uint64_t request_timeout_slices = 800;
-  // Health floor: a tenant whose score decays to or below this is quarantined by
-  // the supervisor (monitor-driven quarantines are detected independently).
-  double health_floor = 70.0;
-  // Replacements a tenant may consume before it is shed instead of replaced.
-  int max_replacements_per_tenant = 1;
   AdmissionPolicy admission;
   // Arms the world's chaos engine (fault injection + host probes) on top of the
   // hostile-traffic mix.

@@ -15,8 +15,9 @@
 //   - The kernel's invlpg-equivalent broadcasts a single-page invalidation on
 //     unmap/protect (PrivilegedOps::InvlPg via AddressSpace).
 //   - The monitor shoots down by leaf-PTE physical address on every
-//     permission-revoking EmcWritePte/EmcWritePteBatch, on RetrofitKey, and on the
-//     trusted sandbox-manager PTE writes (confinement unmaps, seal-time W strips).
+//     permission-revoking EmcWritePte or drained MMU-ring PTE write, on RetrofitKey,
+//     and on the trusted sandbox-manager PTE writes (confinement unmaps, seal-time
+//     W strips).
 //   - flush_on_exit really flushes the exiting CPU's TLB (same cycle charge).
 // Each hook has a test-only disable toggle so the stale-TLB security test can show
 // every hook is load-bearing.

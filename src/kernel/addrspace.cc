@@ -25,8 +25,8 @@ PteWriter AddressSpace::MakeWriter(Cpu& cpu, int* pte_writes) {
     EREBOR_RETURN_IF_ERROR(ops_->WritePte(cpu, entry_pa, value));
     // Kernel-side TLB maintenance: rewriting a previously present entry (remap,
     // U/S widening of an intermediate, unmap, protect) invalidates any cached
-    // translation that depends on it. Batched leaf writes skip this wrapper but
-    // only ever target non-present slots.
+    // translation that depends on it. The MMU-ring paths skip this wrapper; the
+    // monitor shoots down what their drained PTE writes change.
     if (Tlb::hooks().invlpg && pte::Present(old) && old != value) {
       machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
     }
@@ -174,39 +174,15 @@ Status AddressSpace::MapRangeBatched(Cpu& cpu, const std::vector<PageMapping>& m
   if (EmcRing* ring = ops_->mmu_ring(cpu.index()); ring != nullptr) {
     return MapRangeRing(cpu, ring, mappings);
   }
-  // Phase 1: materialize the leaf slots (may create intermediate PTPs; those writes
-  // stay per-entry because each links a fresh table).
-  std::vector<PrivilegedOps::PteUpdate> updates;
-  updates.reserve(mappings.size());
   PteWriter writer = MakeWriter(cpu);
   for (const PageMapping& mapping : mappings) {
-    // Walk down, creating levels, but defer the leaf store into the batch.
-    Paddr table = root_;
-    const bool user = (mapping.flags & pte::kUser) != 0;
-    for (int level = kPagingLevels - 1; level >= 1; --level) {
-      const Paddr entry_pa = table + PteIndex(mapping.va, level) * sizeof(Pte);
-      Pte entry = machine_->memory().Read64(entry_pa);
-      if (!pte::Present(entry)) {
-        EREBOR_ASSIGN_OR_RETURN(const FrameNum ptp, writer.alloc_ptp());
-        Pte inter = pte::Make(ptp, pte::kPresent | pte::kWritable);
-        if (user) {
-          inter |= pte::kUser;
-        }
-        EREBOR_RETURN_IF_ERROR(writer.write_pte(entry_pa, inter));
-        entry = inter;
-      } else if (user && !pte::User(entry)) {
-        EREBOR_RETURN_IF_ERROR(writer.write_pte(entry_pa, entry | pte::kUser));
-      }
-      table = pte::Frame(entry) << kPageShift;
-    }
-    updates.push_back({table + PteIndex(mapping.va, 0) * sizeof(Pte),
-                       pte::Make(mapping.frame, mapping.flags | pte::kPresent)});
-    if (user) {
+    EREBOR_RETURN_IF_ERROR(MapPage(machine_->memory(), root_, mapping.va, mapping.frame,
+                                   mapping.flags, writer));
+    if ((mapping.flags & pte::kUser) != 0) {
       ++mapped_user_pages_;
     }
   }
-  // Phase 2: one privileged call for all leaf entries.
-  return ops_->WritePteBatch(cpu, updates.data(), updates.size());
+  return OkStatus();
 }
 
 Status AddressSpace::PopulateVmaBatched(Cpu& cpu, Vaddr start) {

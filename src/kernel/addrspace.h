@@ -49,9 +49,9 @@ class AddressSpace {
 
   // ---- Raw mapping primitives (PTE writes via PrivilegedOps) ----
   Status MapFrame(Cpu& cpu, Vaddr va, FrameNum frame, Pte flags);
-  // Maps many pages with one batched privileged call for the leaf entries
-  // (intermediate page-table pages are still created individually). This is the
-  // batched-MMU-update optimization of paper section 9.1.
+  // Maps many pages. With an MMU ring (below) the whole range is staged as one
+  // submission window, the batched MMU updates of paper section 9.1; without
+  // one, pages are mapped as by MapFrame, one EMC per PTE store (the paper's path).
   struct PageMapping {
     Vaddr va;
     FrameNum frame;
@@ -64,7 +64,7 @@ class AddressSpace {
   // synchronous per-op paths above remain byte-for-byte what they were.
 
   // Populates every not-yet-mapped page of the VMA at `start` (anon/file kinds get
-  // fresh zeroed frames; common kinds use their backing), with leaf writes batched.
+  // fresh zeroed frames; common kinds use their backing) through MapRangeBatched.
   Status PopulateVmaBatched(Cpu& cpu, Vaddr start);
   Status UnmapPage(Cpu& cpu, Vaddr va);
   Status ProtectPage(Cpu& cpu, Vaddr va, Pte flags);

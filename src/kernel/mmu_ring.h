@@ -30,8 +30,8 @@
 namespace erebor {
 
 // Descriptor opcodes. A kPteSpan header is followed by `count` payload slots
-// (flagged kSpanPayload), giving the ring the same all-or-nothing PTE-batch
-// shape as EmcWritePteBatch without a variable-length SQE.
+// (flagged kSpanPayload), giving the ring an all-or-nothing PTE batch without
+// a variable-length SQE.
 enum class RingOp : uint8_t {
   kNop = 0,
   kWritePte,      // arg0 = entry_pa, arg1 = value

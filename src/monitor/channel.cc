@@ -9,27 +9,54 @@ namespace erebor {
 
 namespace {
 
-void Put32(Bytes& out, uint32_t v) {
-  uint8_t tmp[4];
-  StoreLe32(tmp, v);
-  out.insert(out.end(), tmp, tmp + 4);
-}
+// Writes by offset into a buffer sized up front: one allocation and no
+// insert() growth, which GCC 12's -Warray-bounds misreads at -O3 as a write
+// past the end of a vector that started empty.
+class Writer {
+ public:
+  explicit Writer(size_t size) : out_(size) {}
 
-void Put64(Bytes& out, uint64_t v) {
-  uint8_t tmp[8];
-  StoreLe64(tmp, v);
-  out.insert(out.end(), tmp, tmp + 8);
-}
+  void Put8(uint8_t v) { PutRaw(&v, 1); }
+  void Put32(uint32_t v) {
+    uint8_t tmp[4];
+    StoreLe32(tmp, v);
+    PutRaw(tmp, 4);
+  }
+  void Put64(uint64_t v) {
+    uint8_t tmp[8];
+    StoreLe64(tmp, v);
+    PutRaw(tmp, 8);
+  }
+  void PutBytes(const Bytes& b) {
+    Put32(static_cast<uint32_t>(b.size()));
+    PutRaw(b.data(), b.size());
+  }
+  void PutU256(const U256& v) {
+    const Bytes b = v.ToBytesBe();
+    PutRaw(b.data(), b.size());
+  }
+  template <size_t N>
+  void PutArray(const std::array<uint8_t, N>& a) {
+    PutRaw(a.data(), N);
+  }
 
-void PutBytes(Bytes& out, const Bytes& b) {
-  Put32(out, static_cast<uint32_t>(b.size()));
-  out.insert(out.end(), b.begin(), b.end());
-}
+  Bytes Finish() {
+    assert(pos_ == out_.size());
+    return std::move(out_);
+  }
 
-void PutU256(Bytes& out, const U256& v) {
-  const Bytes b = v.ToBytesBe();
-  out.insert(out.end(), b.begin(), b.end());
-}
+ private:
+  void PutRaw(const uint8_t* p, size_t n) {
+    assert(n <= out_.size() - pos_);
+    if (n != 0) {
+      std::memcpy(out_.data() + pos_, p, n);
+      pos_ += n;
+    }
+  }
+
+  Bytes out_;
+  size_t pos_ = 0;
+};
 
 class Reader {
  public:
@@ -107,35 +134,53 @@ class Reader {
 }  // namespace
 
 Bytes Packet::Serialize() const {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(type));
-  Put32(out, static_cast<uint32_t>(sandbox_id));
+  constexpr size_t kHeader = 1 + 4;  // type, sandbox_id
+  constexpr size_t kU256 = 32;
+  Bytes meas;
+  size_t body = 0;
   switch (type) {
     case PacketType::kClientHello:
-      PutU256(out, client_public);
-      out.insert(out.end(), nonce.begin(), nonce.end());
+      body = kU256 + nonce.size();
       break;
-    case PacketType::kServerHello: {
-      PutU256(out, monitor_public);
-      // Quote: measurements, report data, mac, signature.
-      const Bytes meas = quote.report.measurements.Serialize();
-      PutBytes(out, meas);
-      out.insert(out.end(), quote.report.report_data.begin(), quote.report.report_data.end());
-      out.insert(out.end(), quote.report.mac.begin(), quote.report.mac.end());
-      PutU256(out, quote.signature.commitment);
-      PutU256(out, quote.signature.response);
+    case PacketType::kServerHello:
+      meas = quote.report.measurements.Serialize();
+      body = kU256 + 4 + meas.size() + quote.report.report_data.size() +
+             quote.report.mac.size() + 2 * kU256;
       break;
-    }
     case PacketType::kDataRecord:
     case PacketType::kResultRecord:
-      Put64(out, record.sequence);
-      PutBytes(out, record.ciphertext);
-      out.insert(out.end(), record.tag.begin(), record.tag.end());
+      body = 8 + 4 + record.ciphertext.size() + record.tag.size();
       break;
     case PacketType::kFin:
       break;
   }
-  return out;
+  Writer out(kHeader + body);
+  out.Put8(static_cast<uint8_t>(type));
+  out.Put32(static_cast<uint32_t>(sandbox_id));
+  switch (type) {
+    case PacketType::kClientHello:
+      out.PutU256(client_public);
+      out.PutArray(nonce);
+      break;
+    case PacketType::kServerHello:
+      out.PutU256(monitor_public);
+      // Quote: measurements, report data, mac, signature.
+      out.PutBytes(meas);
+      out.PutArray(quote.report.report_data);
+      out.PutArray(quote.report.mac);
+      out.PutU256(quote.signature.commitment);
+      out.PutU256(quote.signature.response);
+      break;
+    case PacketType::kDataRecord:
+    case PacketType::kResultRecord:
+      out.Put64(record.sequence);
+      out.PutBytes(record.ciphertext);
+      out.PutArray(record.tag);
+      break;
+    case PacketType::kFin:
+      break;
+  }
+  return out.Finish();
 }
 
 namespace {
@@ -366,11 +411,13 @@ StatusOr<Bytes> PadOutput(const Bytes& plaintext, uint64_t pad_quantum) {
   if (pad_quantum > wire::kMaxWireBytes) {
     return InvalidArgumentError("pad quantum exceeds the wire limit");
   }
-  Bytes out(8);
+  // Exact-size, zero-filled, written by memcpy (see Writer for why not insert()).
+  const uint64_t target = ((8 + plaintext.size() + pad_quantum - 1) / pad_quantum) * pad_quantum;
+  Bytes out(target, 0);
   StoreLe64(out.data(), plaintext.size());
-  out.insert(out.end(), plaintext.begin(), plaintext.end());
-  const uint64_t target = ((out.size() + pad_quantum - 1) / pad_quantum) * pad_quantum;
-  out.resize(target, 0);
+  if (!plaintext.empty()) {
+    std::memcpy(out.data() + 8, plaintext.data(), plaintext.size());
+  }
   return out;
 }
 

@@ -95,9 +95,6 @@ Table BuildTable() {
        &CycleModel::monitor_pte_op, &MonitorCounters::emc_pte,
        /*requires_attached_kernel=*/false, /*locks_monitor_state=*/false,
        /*locks_target_sandbox=*/false, /*locks_frame_shards=*/true, ValidateOk});
-  row({EmcOp::kWritePteBatch, "write_pte_batch", "emc.write_pte_batch",
-       TraceEvent::kEmcPteBatch, &CycleModel::monitor_pte_op,
-       &MonitorCounters::emc_pte, false, false, false, true, ValidateOk});
   row({EmcOp::kRegisterPtp, "register_ptp", "emc.register_ptp",
        TraceEvent::kEmcPtpRegister, &CycleModel::monitor_pte_op,
        &MonitorCounters::emc_ptp_register, false, false, false, true, ValidateOk});
@@ -375,50 +372,6 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   ShootdownAfterPteWrite(cpu, entry_pa, old, inter);
   CounterAdd(counters_.huge_splits);
   return OkStatus();
-}
-
-Status EreborMonitor::EmcWritePteBatch(Cpu& cpu, const PrivilegedOps::PteUpdate* updates,
-                                       size_t count) {
-  if (count == 0) {
-    return OkStatus();
-  }
-  EmcCall call{};
-  call.op = EmcOp::kWritePteBatch;
-  call.args.count = count;
-  call.cost_units = count;
-  for (size_t i = 0; i < count; ++i) {
-    call.shard_mask |= 1ull << EmcLockTable::ShardOf(FrameOf(updates[i].entry_pa));
-  }
-  // One gate round trip for the whole batch; each entry is still policy-validated and
-  // charged the monitor-side op cost. The batch is all-or-nothing: every entry is
-  // validated before any PTE memory is written, so a denial mid-batch leaves the page
-  // tables untouched instead of half-applied.
-  return EmcDispatch(cpu, call, [&]() -> Status {
-    std::vector<PolicyDecision> decisions(count);
-    for (size_t i = 0; i < count; ++i) {
-      decisions[i] = policy_->CheckPteWrite(updates[i].entry_pa, updates[i].value);
-      if (decisions[i].needs_split) {
-        NoteDenial(cpu);
-        return PermissionDeniedError("huge-page splits are not supported in batches");
-      }
-      if (!decisions[i].allowed) {
-        NoteDenial(cpu);
-        return PermissionDeniedError("EMC WritePteBatch refused at entry " +
-                                     std::to_string(i) + ": " +
-                                     decisions[i].denial_reason);
-      }
-    }
-    for (size_t i = 0; i < count; ++i) {
-      LockAudit::Global().ExpectFrameShardHeld(
-          cpu.index(), EmcLockTable::ShardOf(FrameOf(updates[i].entry_pa)));
-      const Pte old = machine_->memory().Read64(updates[i].entry_pa);
-      machine_->memory().Write64(updates[i].entry_pa, decisions[i].adjusted_value);
-      policy_->NoteLeafWrite(old, decisions[i].adjusted_value, updates[i].entry_pa);
-      ShootdownAfterPteWrite(cpu, updates[i].entry_pa, old,
-                             decisions[i].adjusted_value);
-    }
-    return OkStatus();
-  });
 }
 
 // Shared by the synchronous EmcRegisterPtp and the ring drain.

@@ -54,12 +54,11 @@ struct MonitorCounters {
   uint64_t ring_shootdowns_coalesced = 0;  // duplicate shootdowns merged per drain
 };
 
-// One value per EMC entry point. The first eleven mirror the PrivilegedOps
+// One value per EMC entry point. The first ten mirror the PrivilegedOps
 // virtuals (InvlPg is deliberately absent: it is a non-EMC hint the kernel may
 // issue directly); the last three are the monitor's own gated surfaces.
 enum class EmcOp : uint8_t {
   kWritePte,
-  kWritePteBatch,
   kRegisterPtp,
   kWriteCr,
   kWriteMsr,

@@ -236,9 +236,9 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
           reject_shape(sqe, shape);
           break;
         }
-        // Charged like EmcWritePteBatch: one family bump, unit cost x count,
-        // one kEmcPteBatch trace; then validate-all-before-apply so a denial
-        // mid-span leaves the page tables untouched.
+        // One family bump, unit cost x count, one kEmcPteBatch trace; then
+        // validate-all-before-apply so a denial mid-span leaves the page
+        // tables untouched.
         CounterAdd(counters_.emc_pte);
         charge(TraceEvent::kEmcPteBatch,
                cpu.costs().monitor_pte_op * static_cast<Cycles>(count));

@@ -86,13 +86,8 @@ class EreborMonitor {
   const Bytes& monitor_image() const { return monitor_image_; }
   bool stage1_done() const { return stage1_done_; }
 
-  // Enables batched MMU updates (one EMC amortized over a whole PTE batch) — the
-  // optimization the paper points to for lowering fork/pagefault costs (section 9.1).
-  void EnableBatchedMmu(bool enabled) { batched_mmu_ = enabled; }
-  bool batched_mmu() const { return batched_mmu_; }
-
-  // Enables the per-vCPU MMU submission/completion rings (the general form of
-  // batched MMU updates: one EMC doorbell drains a whole descriptor window).
+  // Enables the per-vCPU MMU submission/completion rings (the batched MMU
+  // updates of section 9.1: one EMC doorbell drains a whole descriptor window).
   // Off by default so every figure stays bit-identical without rings; see
   // src/monitor/emc_ring.h and DESIGN.md.
   void EnableMmuRings(bool enabled) {
@@ -120,7 +115,6 @@ class EreborMonitor {
 
   // ---- EMC surface (PrivilegedOps routes here) ----
   Status EmcWritePte(Cpu& cpu, Paddr entry_pa, Pte value);
-  Status EmcWritePteBatch(Cpu& cpu, const PrivilegedOps::PteUpdate* updates, size_t count);
   Status EmcRegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa);
   Status EmcWriteCr(Cpu& cpu, int reg, uint64_t value);
   Status EmcWriteMsr(Cpu& cpu, uint32_t index, uint64_t value);
@@ -279,7 +273,6 @@ class EreborMonitor {
 
   bool stage1_done_ = false;
   bool kernel_loaded_ = false;
-  bool batched_mmu_ = false;
   MitigationConfig mitigations_;
 };
 
@@ -291,12 +284,6 @@ class EmcPrivOps : public PrivilegedOps {
 
   Status WritePte(Cpu& cpu, Paddr entry_pa, Pte value) override {
     return monitor_->EmcWritePte(cpu, entry_pa, value);
-  }
-  Status WritePteBatch(Cpu& cpu, const PteUpdate* updates, size_t count) override {
-    if (!monitor_->batched_mmu()) {
-      return PrivilegedOps::WritePteBatch(cpu, updates, count);  // one EMC per entry
-    }
-    return monitor_->EmcWritePteBatch(cpu, updates, count);
   }
   Status RegisterPtp(Cpu& cpu, FrameNum frame, Paddr root_pa) override {
     return monitor_->EmcRegisterPtp(cpu, frame, root_pa);

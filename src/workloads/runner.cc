@@ -7,6 +7,10 @@ namespace erebor {
 
 namespace {
 
+// Scheduler slices each of the init and processing phases may run before the
+// run is declared hung.
+constexpr uint64_t kMaxRunSlices = 4'000'000;
+
 // Provider-side population of a common region's backing frames (the shared instance
 // is prepared once, before any client arrives).
 void FillCommonFrames(Machine& machine, const Workload& workload, FrameNum first,
@@ -73,7 +77,6 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   }
   if (world.monitor() != nullptr) {
     world.monitor()->SetMitigations(options.mitigations);
-    world.monitor()->EnableBatchedMmu(options.batched_mmu);
   }
 
   const LibosManifest manifest = workload.Manifest();
@@ -168,7 +171,7 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
   tracer.MarkPhase("init", world.machine().TotalCycles());
   const Cycles before_init = world.machine().TotalCycles();
   st = world.RunUntil([&] { return state->init_done || state->failed; },
-                      options.max_slices);
+                      kMaxRunSlices);
   if (!st.ok() || state->failed) {
     report.error = "init: " + (state->failed ? state->failure : st.ToString());
     return report;
@@ -197,7 +200,7 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
 
   const Cycles before_run = world.machine().TotalCycles();
   st = world.RunUntil([&] { return state->output_sent || state->failed; },
-                      options.max_slices);
+                      kMaxRunSlices);
   if (!st.ok() || state->failed) {
     report.error = "run: " + (state->failed ? state->failure : st.ToString());
     return report;

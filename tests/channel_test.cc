@@ -42,6 +42,76 @@ TEST(PacketTest, DataRecordRoundTrip) {
   EXPECT_EQ(back->record.tag, packet.record.tag);
 }
 
+// One packet of `type` with every field set to a fixed, position-dependent
+// pattern, so a serializer change that moves or drops a byte shows up.
+Packet PatternPacket(PacketType type) {
+  Packet packet;
+  packet.type = type;
+  packet.sandbox_id = -2;
+  packet.client_public = U256(1, 2, 3, 4);
+  packet.monitor_public = U256(5, 6, 7, 8);
+  for (size_t i = 0; i < packet.nonce.size(); ++i) {
+    packet.nonce[i] = static_cast<uint8_t>(i);
+  }
+  TdReport& report = packet.quote.report;
+  for (size_t i = 0; i < 32; ++i) {
+    report.measurements.mrtd[i] = static_cast<uint8_t>(0x20 + i);
+    for (size_t r = 0; r < report.measurements.rtmr.size(); ++r) {
+      report.measurements.rtmr[r][i] = static_cast<uint8_t>(0x40 * r + i);
+    }
+    report.mac[i] = static_cast<uint8_t>(0xE0 ^ i);
+  }
+  for (size_t i = 0; i < report.report_data.size(); ++i) {
+    report.report_data[i] = static_cast<uint8_t>(0xA0 + i);
+  }
+  packet.quote.signature.commitment = U256(9, 10, 11, 12);
+  packet.quote.signature.response = U256(13, 14, 15, 16);
+  packet.record.sequence = 0x1122334455667788ULL;
+  packet.record.ciphertext = ToBytes("sealed!");
+  packet.record.tag.fill(0xAD);
+  return packet;
+}
+
+TEST(PacketTest, SerializeBytesArePinnedForEveryType) {
+  // The wire format is part of the client/monitor contract: every packet type
+  // must serialize to exactly these bytes.
+  const std::pair<PacketType, const char*> golden[] = {
+      {PacketType::kClientHello,
+       "01feffffff000000000000000400000000000000030000000000000002000000"
+       "0000000001000102030405060708090a0b0c0d0e0f101112131415161718191a"
+       "1b1c1d1e1f"},
+      {PacketType::kServerHello,
+       "02feffffff000000000000000800000000000000070000000000000006000000"
+       "0000000005a0000000202122232425262728292a2b2c2d2e2f30313233343536"
+       "3738393a3b3c3d3e3f000102030405060708090a0b0c0d0e0f10111213141516"
+       "1718191a1b1c1d1e1f404142434445464748494a4b4c4d4e4f50515253545556"
+       "5758595a5b5c5d5e5f808182838485868788898a8b8c8d8e8f90919293949596"
+       "9798999a9b9c9d9e9fc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6"
+       "d7d8d9dadbdcdddedfa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6"
+       "b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6"
+       "d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6"
+       "f7f8f9fafbfcfdfeff000000000000000c000000000000000b00000000000000"
+       "0a00000000000000090000000000000010000000000000000f00000000000000"
+       "0e000000000000000d"},
+      {PacketType::kDataRecord,
+       "03feffffff8877665544332211070000007365616c656421adadadadadadadad"
+       "adadadadadadadadadadadadadadadadadadadadadadadad"},
+      {PacketType::kResultRecord,
+       "04feffffff8877665544332211070000007365616c656421adadadadadadadad"
+       "adadadadadadadadadadadadadadadadadadadadadadadad"},
+      {PacketType::kFin,
+       "05feffffff"},
+  };
+  for (const auto& [type, hex] : golden) {
+    SCOPED_TRACE(static_cast<int>(type));
+    const Packet packet = PatternPacket(type);
+    EXPECT_EQ(HexEncode(packet.Serialize()), hex);
+    const auto back = Packet::Deserialize(packet.Serialize());
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->Serialize(), packet.Serialize());
+  }
+}
+
 TEST(PacketTest, RejectsGarbage) {
   EXPECT_FALSE(Packet::Deserialize(ToBytes("x")).ok());
   EXPECT_FALSE(Packet::Deserialize(Bytes{0x63, 0, 0, 0, 0}).ok());  // unknown type
@@ -53,7 +123,12 @@ TEST_P(PaddingTest, PadUnpadRoundTripsAndQuantizes) {
   Bytes data(GetParam(), 0x5C);
   const auto padded = PadOutput(data, 4096);
   ASSERT_TRUE(padded.ok());
-  EXPECT_EQ(padded->size() % 4096, 0u);
+  // The smallest multiple of the quantum holding the 8-byte length prefix and
+  // the data, zero-filled past the data.
+  EXPECT_EQ(padded->size(), (8 + data.size() + 4095) / 4096 * 4096);
+  EXPECT_EQ(LoadLe64(padded->data()), data.size());
+  EXPECT_TRUE(std::all_of(padded->begin() + 8 + data.size(), padded->end(),
+                          [](uint8_t b) { return b == 0; }));
   const auto back = UnpadOutput(*padded);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);

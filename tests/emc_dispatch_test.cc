@@ -44,10 +44,10 @@ namespace {
 // executes directly on the vCPU, no EMC.
 const std::vector<std::string>& PrivOpsVirtualRows() {
   static const std::vector<std::string> rows = {
-      "write_pte",    "write_pte_batch", "register_ptp",
-      "write_cr",     "write_msr",       "load_idt",
-      "copy_to_user", "copy_from_user",  "tdcall",
-      "text_poke",    "ring_doorbell",
+      "write_pte",      "register_ptp", "write_cr",
+      "write_msr",      "load_idt",     "copy_to_user",
+      "copy_from_user", "tdcall",       "text_poke",
+      "ring_doorbell",
   };
   return rows;
 }
@@ -122,7 +122,6 @@ TEST(EmcDescriptorTableTest, EveryRowIsFullySpecified) {
 TEST(EmcDescriptorTableTest, UnitCostsAreTheTable4Members) {
   const auto cost = [](EmcOp op) { return EmcDescriptorFor(op).unit_cost; };
   EXPECT_EQ(cost(EmcOp::kWritePte), &CycleModel::monitor_pte_op);
-  EXPECT_EQ(cost(EmcOp::kWritePteBatch), &CycleModel::monitor_pte_op);
   EXPECT_EQ(cost(EmcOp::kRegisterPtp), &CycleModel::monitor_pte_op);
   EXPECT_EQ(cost(EmcOp::kWriteCr), &CycleModel::monitor_cr_op);
   EXPECT_EQ(cost(EmcOp::kWriteMsr), &CycleModel::monitor_msr_op);
@@ -305,12 +304,6 @@ TEST(EmcNeutralityTest, GoldenLmbenchAndFileserverNumbersAreBitIdentical) {
     EXPECT_EQ(r->total_cycles, g.cycles) << g.name;
     EXPECT_EQ(r->emc_count, g.emc) << g.name;
   }
-  const auto batched =
-      RunLmbench("pagefault", SimMode::kEreborFull, 400, MmuUpdateMode::kBatched);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ(batched->total_cycles, 17182100u);
-  EXPECT_EQ(batched->emc_count, 6421u);
-
   const auto ssh = RunFileServer(ServerKind::kOpenSsh, SimMode::kEreborFull, 65536, 4);
   ASSERT_TRUE(ssh.ok());
   EXPECT_EQ(ssh->total_cycles, 2381438u);

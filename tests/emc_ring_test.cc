@@ -370,6 +370,46 @@ TEST_F(EmcRingTest, PolicyRefusalIsADenialNotAStrike) {
   ExpectInvariantsHold();
 }
 
+TEST_F(EmcRingTest, DeniedMidSpanLeavesNoPteApplied) {
+  Boot();
+  const auto ptp = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(ptp.ok());
+  FrameTable& frame_table = world_->monitor()->frame_table();
+  frame_table.info(*ptp).type = FrameType::kPtp;
+  frame_table.info(*ptp).ptp_level = 1;
+  const auto target = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(target.ok());
+
+  RingSqe header;
+  header.op = RingOp::kPteSpan;
+  header.count = 2;
+  RingSqe payload[2];
+  for (RingSqe& p : payload) {
+    p.op = RingOp::kWritePte;
+    p.flags = ring_flags::kSpanPayload;
+  }
+  // Entry 0 on its own is perfectly valid...
+  payload[0].arg0 = AddrOf(*ptp);
+  payload[0].arg1 = pte::Make(*target, pte::kPresent | pte::kWritable | pte::kNoExecute);
+  // ...entry 1 maps monitor memory user-writable, which is always refused.
+  payload[1].arg0 = AddrOf(*ptp) + 8;
+  payload[1].arg1 = pte::Make(layout::kMonitorFirstFrame,
+                              pte::kPresent | pte::kUser | pte::kWritable);
+
+  const uint64_t denials_before = counters().policy_denials;
+  Publish({header, payload[0], payload[1]});
+  ASSERT_TRUE(Doorbell().ok());
+  const std::vector<RingCqe> cqes = ReapAll();
+  // One completion for the whole span: a policy denial, not a strike.
+  ASSERT_EQ(cqes.size(), 1u);
+  EXPECT_EQ(cqes[0].result, -static_cast<int32_t>(ErrorCode::kPermissionDenied));
+  EXPECT_GT(counters().policy_denials, denials_before);
+  EXPECT_EQ(state()->strikes, 0u);
+  // All-or-nothing: the valid first entry must not have been applied.
+  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(*ptp)), 0u);
+  EXPECT_EQ(world_->machine().memory().Read64(AddrOf(*ptp) + 8), 0u);
+}
+
 // ---- Forged sandbox ids and the strike -> poison -> quarantine ladder ----
 
 TEST_F(EmcRingTest, ForgedSandboxIdNeverExecutesOrBillsTheVictim) {
