@@ -68,7 +68,6 @@ bool RunRingOracleCell(ExecMode exec, RingOracleCell* out) {
   monitor->EnableMmuRings(true);
   monitor->SetEmcLocking(EmcLocking::kSharded);
   monitor->SetLockContention(false);
-  LockAudit::Global().Reset();
 
   Machine& machine = world.machine();
   // Reclaim targets: untouched normal frames at the top of memory, disjoint
@@ -107,7 +106,7 @@ bool RunRingOracleCell(ExecMode exec, RingOracleCell* out) {
                 st.ToString().c_str());
     return false;
   }
-  if (LockAudit::Global().violations() != 0 || !monitor->AuditInvariants().ok()) {
+  if (monitor->locks().audit().violations() != 0 || !monitor->AuditInvariants().ok()) {
     std::printf("batched_mmu: lock/invariant audit failed (%s)\n",
                 ExecModeName(exec));
     return false;

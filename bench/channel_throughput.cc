@@ -264,7 +264,6 @@ bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
   // Deterministic cells charge simulated contention; under real threads the
   // lock plans are backed by real mutexes and wall time is the signal.
   monitor->SetLockContention(exec == ExecMode::kDeterministic);
-  LockAudit::Global().Reset();
 
   Machine& machine = world.machine();
   Cycles align = 0;
@@ -338,7 +337,7 @@ bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
       return false;
     }
   }
-  if (LockAudit::Global().violations() != 0) {
+  if (monitor->locks().audit().violations() != 0) {
     std::printf("channel_throughput: lock-discipline violations recorded\n");
     return false;
   }

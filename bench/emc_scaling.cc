@@ -104,7 +104,6 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
   EreborMonitor* monitor = world.monitor();
   monitor->SetEmcLocking(locking);
   monitor->SetLockContention(true);
-  LockAudit::Global().Reset();
 
   // Align every vCPU clock to the same start so measured deltas compare work,
   // not boot-time skew (boot runs mostly on cpu0).
@@ -158,7 +157,7 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
     wait_cycles += sandbox->lock.contention_cycles();
   }
 
-  if (LockAudit::Global().violations() != 0) {
+  if (monitor->locks().audit().violations() != 0) {
     std::printf("emc_scaling: lock-discipline violations recorded\n");
     return false;
   }
@@ -246,7 +245,6 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
   EreborMonitor* monitor = world.monitor();
   monitor->SetEmcLocking(locking);
   monitor->SetLockContention(false);  // real or no contention — never charged
-  LockAudit::Global().Reset();
 
   Machine& machine = world.machine();
   const Bytes payload(kPayload, 0xAB);
@@ -293,7 +291,7 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
     return false;
   }
 
-  if (LockAudit::Global().violations() != 0) {
+  if (monitor->locks().audit().violations() != 0) {
     std::printf("emc_scaling: lock-discipline violations in %s run\n",
                 ExecModeName(exec));
     return false;

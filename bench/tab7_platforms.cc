@@ -219,7 +219,10 @@ int main() {
       scaling.push_back(cell);
       continue;
     }
-    cell.sealed = LaunchSealedSandboxes(world, n, "t" + std::to_string(n) + "_");
+    std::string prefix = "t";
+    prefix += std::to_string(n);
+    prefix += '_';
+    cell.sealed = LaunchSealedSandboxes(world, n, prefix);
     cell.domains_in_use = world.monitor()->isolation().sandbox_domains_in_use();
     cell.total_cycles = world.machine().TotalCycles();
     InvariantChecker checker(world.monitor());

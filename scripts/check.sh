@@ -11,26 +11,28 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
+# Bounded parallelism: a bare -j lets make start unboundedly many compilers.
+JOBS="$(nproc)"
 
 cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$JOBS"
 # Fast signal first: the tier-1 suite, then the real-thread oracle-equivalence
 # tests, then the long-running chaos soaks.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L tier1)
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L threads)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" -L tier1)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" -L threads)
 # Fleet-serving soak: hostile tenants interleaved with benign load on both
 # execution engines, with containment and journal-replay assertions.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L serving)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" -L serving)
 # Fleet-churn soak: warm-clone-pool serving with quarantine-and-replace under
 # the chaos engine, plus the pool-mode engine-equivalence oracle.
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L churn)
-(cd "$BUILD_DIR" && ctest --output-on-failure -j -L chaos)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" -L churn)
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" -L chaos)
 
 # Release build: every build type must compile. The libraries build with
 # -Werror, and GCC's -O3 diagnostics differ from the default RelWithDebInfo's.
 RELEASE_DIR="${BUILD_DIR}-release"
 cmake -B "$RELEASE_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$RELEASE_DIR" -j
+cmake --build "$RELEASE_DIR" -j "$JOBS"
 
 # Sanitizer pass: the whole suite again with AddressSanitizer + UBSan. The chaos
 # tests drive every injected-fault recovery path, which is exactly where lifetime
@@ -38,8 +40,8 @@ cmake --build "$RELEASE_DIR" -j
 if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . -DEREBOR_SANITIZE=ON
-  cmake --build "$ASAN_DIR" -j
-  (cd "$ASAN_DIR" && ctest --output-on-failure -j)
+  cmake --build "$ASAN_DIR" -j "$JOBS"
+  (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS")
 
   # ThreadSanitizer pass over the real-thread engine tests. Only threads_test,
   # fleet_test and churn_test are built and run here (TSan slows everything
@@ -50,7 +52,7 @@ if [[ "${EREBOR_SKIP_SANITIZE:-0}" != "1" ]]; then
   # same threaded path with the warm-clone pool on.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DEREBOR_SANITIZE=tsan
-  cmake --build "$TSAN_DIR" -j --target threads_test fleet_test churn_test
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target threads_test fleet_test churn_test
   "$TSAN_DIR/tests/threads_test"
   "$TSAN_DIR/tests/fleet_test"
   "$TSAN_DIR/tests/churn_test"

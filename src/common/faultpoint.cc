@@ -62,11 +62,6 @@ const char* FaultActionName(FaultAction action) {
   return "?";
 }
 
-FaultInjector& FaultInjector::Global() {
-  static FaultInjector* injector = new FaultInjector();
-  return *injector;
-}
-
 void FaultInjector::Arm(uint64_t seed, FaultSchedule schedule) {
   std::lock_guard<std::mutex> guard(mu_);
   seed_ = seed;

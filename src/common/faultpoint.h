@@ -2,14 +2,16 @@
 //
 // Call sites at trust boundaries (tdcall entry/exit, EMC gate transitions, channel
 // packet delivery, host preemption/DMA probes, frame-allocator exhaustion) register
-// *named fault points*: a probe that asks the process-global injector whether a
-// fault fires at this visit. Every decision is a pure function of the armed
-// (seed, schedule) pair, the site name, and the site's per-process hit index — so a
+// *named fault points*: a probe that asks its Machine's injector whether a fault
+// fires at this visit. Every decision is a pure function of the armed (seed,
+// schedule) pair, the site name, and the site's per-injector hit index — so a
 // failing run replays bit-identically from its seed alone, with no engine-side
 // shared RNG stream that could skew when sites are visited in a different order.
+// Each World owns exactly one injector (its Machine's), so two Worlds in one
+// process never share a journal.
 //
-// The engine is zero-cost when disarmed: `FaultInjector::Armed()` is a single load
-// of an inline static bool, and every probe site guards on it before doing any
+// The engine is zero-cost when disarmed: `Armed()` is a single load of the
+// injector's own atomic flag, and every probe site guards on it before doing any
 // work. Benches assert in-process that simulated operation/cycle counts are
 // bit-identical with the engine compiled in but inactive.
 #ifndef EREBOR_SRC_COMMON_FAULTPOINT_H_
@@ -78,11 +80,9 @@ struct FiredFault {
 
 class FaultInjector {
  public:
-  static FaultInjector& Global();
-
   // The zero-cost guard: one relaxed load. Probe sites must check this before
   // calling At().
-  static bool Armed() { return armed_.load(std::memory_order_relaxed); }
+  bool Armed() const { return armed_.load(std::memory_order_relaxed); }
 
   // Arms the engine with a (seed, schedule) pair; resets hit counters and journal.
   void Arm(uint64_t seed, FaultSchedule schedule);
@@ -124,9 +124,7 @@ class FaultInjector {
   uint64_t SiteHits(const std::string& site) const;
 
  private:
-  FaultInjector() = default;
-
-  static inline std::atomic<bool> armed_{false};
+  std::atomic<bool> armed_{false};
 
   // Serializes At() (and journal reads taken while probes may still be running).
   // Arm/Disarm flip armed_ only from quiesced single-threaded code.

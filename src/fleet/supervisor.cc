@@ -730,7 +730,6 @@ StatusOr<std::vector<uint64_t>> FleetSupervisor::RunBurstIngest(int rounds) {
   EreborMonitor* monitor = world_->monitor();
   monitor->SetEmcLocking(EmcLocking::kSharded);
   monitor->SetLockContention(config_.exec == ExecMode::kDeterministic);
-  LockAudit::Global().Reset();
 
   Machine& machine = world_->machine();
   Cycles align = 0;

@@ -9,8 +9,9 @@ namespace {
 // Applies an injected network fault to a packet bound for `queue`. Returns true if
 // the packet was consumed (dropped); otherwise the caller enqueues normally (the
 // corrupt/truncate actions mutate it in place, duplicate/reorder touch the queue).
-bool ApplyNetFault(const char* site, Bytes& packet, std::deque<Bytes>& queue) {
-  const FaultDecision decision = FaultInjector::Global().At(site);
+bool ApplyNetFault(FaultInjector& faults, const char* site, Bytes& packet,
+                   std::deque<Bytes>& queue) {
+  const FaultDecision decision = faults.At(site);
   switch (decision.action) {
     case FaultAction::kDrop:
       return true;
@@ -40,14 +41,14 @@ bool ApplyNetFault(const char* site, Bytes& packet, std::deque<Bytes>& queue) {
 }  // namespace
 
 void HostNetwork::GuestTransmit(Bytes packet) {
-  if (FaultInjector::Armed() && ApplyNetFault("net.to_world", packet, to_world_)) {
+  if (faults_->Armed() && ApplyNetFault(*faults_, "net.to_world", packet, to_world_)) {
     return;
   }
   to_world_.push_back(std::move(packet));
 }
 
 void HostNetwork::WorldTransmit(Bytes packet) {
-  if (FaultInjector::Armed() && ApplyNetFault("net.to_guest", packet, to_guest_)) {
+  if (faults_->Armed() && ApplyNetFault(*faults_, "net.to_guest", packet, to_guest_)) {
     return;
   }
   to_guest_.push_back(std::move(packet));
@@ -71,7 +72,8 @@ StatusOr<Bytes> HostNetwork::GuestReceive() {
   return packet;
 }
 
-HostVmm::HostVmm(Machine* machine, TdxModule* tdx) : machine_(machine), tdx_(tdx) {}
+HostVmm::HostVmm(Machine* machine, TdxModule* tdx)
+    : machine_(machine), tdx_(tdx), network_(&machine->faults()) {}
 
 GhciResponse HostVmm::HandleVmcall(const GhciRequest& request) {
   GhciResponse response;

@@ -19,6 +19,9 @@ namespace erebor {
 // virtio-net device and remote clients.
 class HostNetwork {
  public:
+  // `faults` is the Machine's injector, which owns the "net.*" probe sites.
+  explicit HostNetwork(FaultInjector* faults) : faults_(faults) {}
+
   // Guest -> world. Fault point "net.to_world": the host may drop, duplicate,
   // reorder, corrupt, or truncate any packet it carries — confidentiality and
   // session progress must survive all of it.
@@ -38,6 +41,7 @@ class HostNetwork {
   const std::deque<Bytes>& SniffToGuest() const { return to_guest_; }
 
  private:
+  FaultInjector* faults_;
   std::deque<Bytes> to_world_;
   std::deque<Bytes> to_guest_;
 };

@@ -1,11 +1,13 @@
 // The simulated machine: physical memory, vCPUs, interrupt controller, DMA engine and
-// the code-label registry, bundled with the cycle model.
+// the code-label registry, bundled with the cycle model and the fault injector every
+// probe site on this machine consults.
 #ifndef EREBOR_SRC_HW_MACHINE_H_
 #define EREBOR_SRC_HW_MACHINE_H_
 
 #include <memory>
 #include <vector>
 
+#include "src/common/faultpoint.h"
 #include "src/hw/cpu.h"
 #include "src/hw/dma.h"
 #include "src/hw/interrupts.h"
@@ -27,6 +29,7 @@ class Machine {
   CodeRegistry& registry() { return registry_; }
   InterruptController& interrupts() { return interrupts_; }
   DmaEngine& dma() { return dma_; }
+  FaultInjector& faults() { return faults_; }
   const CycleModel& costs() const { return config_.cycles; }
   const MachineConfig& config() const { return config_; }
 
@@ -52,6 +55,7 @@ class Machine {
   CodeRegistry registry_;
   InterruptController interrupts_;
   DmaEngine dma_;
+  FaultInjector faults_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
 };
 

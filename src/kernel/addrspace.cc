@@ -321,7 +321,7 @@ StatusOr<int> AddressSpace::FaultAroundRing(Cpu& cpu, EmcRing* ring, Vma& vma,
     if (!alloc.ok() && alloc.status().code() == ErrorCode::kResourceExhausted) {
       // Same bounded-retry degradation contract as the synchronous fault path.
       alloc = pool_->Alloc();
-      if (alloc.ok() && FaultInjector::Armed()) {
+      if (alloc.ok() && machine_->faults().Armed()) {
         NoteFaultRecovered();
       }
     }
@@ -375,7 +375,7 @@ StatusOr<int> AddressSpace::HandleDemandFault(Cpu& cpu, Vaddr va, PhysMemory* fi
         // every demand-fault caller — page-fault entry and syscall paths alike —
         // shares the same degradation contract; a genuinely full pool fails again.
         alloc = pool_->Alloc();
-        if (alloc.ok() && FaultInjector::Armed()) {
+        if (alloc.ok() && machine_->faults().Armed()) {
           NoteFaultRecovered();
         }
       }

@@ -4,12 +4,11 @@
 
 namespace erebor {
 
-FrameAllocator::FrameAllocator(FrameNum first, FrameNum count)
-    : first_(first), count_(count), bitmap_(count, false) {}
+FrameAllocator::FrameAllocator(FrameNum first, FrameNum count, FaultInjector* faults)
+    : first_(first), count_(count), bitmap_(count, false), faults_(faults) {}
 
 StatusOr<FrameNum> FrameAllocator::Alloc() {
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("frame_alloc.alloc", FaultAction::kExhaust)) {
+  if (faults_->Armed() && faults_->Fire("frame_alloc.alloc", FaultAction::kExhaust)) {
     return ResourceExhaustedError("frame pool exhausted (injected)");
   }
   for (FrameNum i = 0; i < count_; ++i) {
@@ -28,8 +27,7 @@ StatusOr<FrameNum> FrameAllocator::AllocContiguous(uint64_t count) {
   if (count == 0 || count > count_) {
     return InvalidArgumentError("bad contiguous request");
   }
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("frame_alloc.alloc", FaultAction::kExhaust)) {
+  if (faults_->Armed() && faults_->Fire("frame_alloc.alloc", FaultAction::kExhaust)) {
     return ResourceExhaustedError("no contiguous run (injected exhaustion)");
   }
   uint64_t run = 0;

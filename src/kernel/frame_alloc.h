@@ -11,9 +11,12 @@
 
 namespace erebor {
 
+class FaultInjector;
+
 class FrameAllocator {
  public:
-  FrameAllocator(FrameNum first, FrameNum count);
+  // `faults` is the owning Machine's injector (the "frame_alloc.alloc" probe).
+  FrameAllocator(FrameNum first, FrameNum count, FaultInjector* faults);
 
   StatusOr<FrameNum> Alloc();
   StatusOr<FrameNum> AllocContiguous(uint64_t count);
@@ -31,6 +34,7 @@ class FrameAllocator {
   std::vector<bool> bitmap_;
   FrameNum next_hint_ = 0;
   uint64_t used_ = 0;
+  FaultInjector* faults_;
 };
 
 }  // namespace erebor

@@ -55,8 +55,9 @@ Status Kernel::Boot() {
   const FrameNum cma_frames = total * layout::kCmaFractionPercent / 100;
   const FrameNum cma_first = total - cma_frames;
   pool_ = std::make_unique<FrameAllocator>(layout::kGeneralPoolFirstFrame,
-                                           cma_first - layout::kGeneralPoolFirstFrame);
-  cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames);
+                                           cma_first - layout::kGeneralPoolFirstFrame,
+                                           &machine_->faults());
+  cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames, &machine_->faults());
 
   EREBOR_ASSIGN_OR_RETURN(kernel_aspace_,
                           BuildKernelAddressSpace(cpu, machine_, ops_, pool_.get()));
@@ -372,7 +373,7 @@ void Kernel::PageFaultEntry(Cpu& cpu, const Fault& fault) {
       // Transient allocator exhaustion (e.g. an injected fault) gets one bounded
       // retry before the task is declared dead; a genuinely full pool fails again.
       result = aspace->HandleDemandFault(cpu, fault.address);
-      if (result.ok() && FaultInjector::Armed()) {
+      if (result.ok() && machine_->faults().Armed()) {
         NoteFaultRecovered();
       }
     }

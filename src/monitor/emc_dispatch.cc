@@ -162,8 +162,8 @@ Status EreborMonitor::EmcDispatch(Cpu& cpu, const EmcCall& call,
     return FailedPreconditionError(std::string(d.name) +
                                    " requires an attached kernel");
   }
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire(d.fault_site, FaultAction::kFail)) {
+  FaultInjector& faults = machine_->faults();
+  if (faults.Armed() && faults.Fire(d.fault_site, FaultAction::kFail)) {
     // Injected transient refusal at the EMC doorstep (e.g. the host yanked the
     // vCPU on the crossing). kUnavailable: callers with retry loops absorb it.
     return UnavailableError(std::string("injected EMC fault at ") + d.fault_site);
@@ -186,24 +186,23 @@ Status EreborMonitor::EmcDispatch(Cpu& cpu, const EmcCall& call,
 
   // Lock plan: kGlobal takes the one big lock; kSharded takes sandbox ->
   // monitor-state -> frame shards in ascending rank (LockAudit enforces it).
-  const bool simulate = locks_.simulate_contention();
   std::vector<SimLockGuard> guards;
   if (locks_.mode() == EmcLocking::kGlobal) {
-    guards.emplace_back(&locks_.global(), &cpu, simulate);
+    guards.emplace_back(&locks_.global(), &cpu, &locks_);
   } else {
     if (d.locks_target_sandbox && call.sandbox_id >= 0) {
       Sandbox* target = sandbox_mgr_->Find(call.sandbox_id);
       if (target != nullptr) {
-        guards.emplace_back(&target->lock, &cpu, simulate);
+        guards.emplace_back(&target->lock, &cpu, &locks_);
       }
     }
     if (d.locks_monitor_state) {
-      guards.emplace_back(&locks_.monitor_state(), &cpu, simulate);
+      guards.emplace_back(&locks_.monitor_state(), &cpu, &locks_);
     }
     if (d.locks_frame_shards) {
       for (int i = 0; i < EmcLockTable::kFrameShards; ++i) {
         if ((call.shard_mask >> i) & 1u) {
-          guards.emplace_back(&locks_.shard(i), &cpu, simulate);
+          guards.emplace_back(&locks_.shard(i), &cpu, &locks_);
         }
       }
     }
@@ -280,8 +279,8 @@ Status EreborMonitor::WritePteBodyLocked(Cpu& cpu, Paddr entry_pa, Pte value,
     NoteDenial(cpu);
     return PermissionDeniedError("EMC WritePte refused: " + decision.denial_reason);
   }
-  LockAudit::Global().ExpectFrameShardHeld(cpu.index(),
-                                           EmcLockTable::ShardOf(FrameOf(entry_pa)));
+  locks_.audit().ExpectFrameShardHeld(cpu.index(),
+                                      EmcLockTable::ShardOf(FrameOf(entry_pa)));
   const Pte old = machine_->memory().Read64(entry_pa);
   machine_->memory().Write64(entry_pa, decision.adjusted_value);
   policy_->NoteLeafWrite(old, decision.adjusted_value, entry_pa);
@@ -385,7 +384,7 @@ Status EreborMonitor::RegisterPtpBodyLocked(Cpu& cpu, FrameNum frame, Paddr root
     return PermissionDeniedError("cannot re-type " + FrameTypeName(info.type) +
                                  " frame as PTP");
   }
-  LockAudit::Global().ExpectFrameShardHeld(cpu.index(), EmcLockTable::ShardOf(frame));
+  locks_.audit().ExpectFrameShardHeld(cpu.index(), EmcLockTable::ShardOf(frame));
   // A PTP must start zeroed so no stale attacker-chosen entries become live.
   machine_->memory().ZeroFrame(frame);
   info.type = FrameType::kPtp;
@@ -671,36 +670,6 @@ Status EreborMonitor::ActivateClone(Cpu& cpu, Sandbox& sandbox) {
 
 // ---- Proxy packet plumbing (crypto handling lives in attestation.cc) ----
 
-Status EreborMonitor::ProxyDeliver(Cpu& cpu, const Bytes& wire) {
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("channel.deliver", FaultAction::kDrop)) {
-    // The untrusted proxy "lost" the packet at the monitor's doorstep. From the
-    // client's perspective this is ordinary network loss: its bounded retry covers it.
-    return OkStatus();
-  }
-  EmcCall call{};
-  call.op = EmcOp::kChannelOp;
-  // The target sandbox is only known after deserialization, so the handlers take
-  // the sandbox lock themselves (EmcLockTable::SandboxGuard).
-  return EmcDispatch(cpu, call, [&]() -> Status {
-    if (!wire.empty() && static_cast<PacketType>(wire[0]) == PacketType::kDataRecord) {
-      // Hot path: data records are parsed as a borrowed view and decrypted
-      // straight from the wire buffer (no Packet materialization).
-      EREBOR_ASSIGN_OR_RETURN(const RecordView view, ParseRecordWire(wire));
-      return HandleDataRecord(cpu, view);
-    }
-    EREBOR_ASSIGN_OR_RETURN(const Packet packet, Packet::Deserialize(wire));
-    switch (packet.type) {
-      case PacketType::kClientHello:
-        return HandleHello(cpu, packet);
-      case PacketType::kFin:
-        return HandleFin(cpu, packet);
-      default:
-        return InvalidArgumentError("unexpected packet type from network");
-    }
-  });
-}
-
 Status EreborMonitor::ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wires) {
   if (wires.empty()) {
     return OkStatus();
@@ -708,7 +677,10 @@ Status EreborMonitor::ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wire
   EmcCall call{};
   call.op = EmcOp::kChannelOp;
   call.cost_units = wires.size();  // one gate crossing, per-packet channel-op cost
+  // The target sandboxes are only known after parsing, so the handlers take the
+  // sandbox locks themselves (EmcLockTable::SandboxGuard).
   return EmcDispatch(cpu, call, [&]() -> Status {
+    FaultInjector& faults = machine_->faults();
     Status first_error = OkStatus();
     auto note = [&first_error](const Status& st) {
       if (first_error.ok() && !st.ok()) {
@@ -721,8 +693,7 @@ Status EreborMonitor::ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wire
     std::vector<const Bytes*> control;
     std::map<int32_t, std::vector<RecordView>> data_by_sandbox;
     for (const Bytes& wire : wires) {
-      if (FaultInjector::Armed() &&
-          FaultInjector::Global().Fire("channel.deliver", FaultAction::kDrop)) {
+      if (faults.Armed() && faults.Fire("channel.deliver", FaultAction::kDrop)) {
         continue;  // ordinary network loss; the client's bounded retry covers it
       }
       if (!wire.empty() && static_cast<PacketType>(wire[0]) == PacketType::kDataRecord) {

@@ -262,7 +262,7 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
         }
         for (size_t j = 0; j < count; ++j) {
           const RingSqe& p = window[i + 1 + j];
-          LockAudit::Global().ExpectFrameShardHeld(
+          locks_.audit().ExpectFrameShardHeld(
               cpu.index(), EmcLockTable::ShardOf(FrameOf(p.arg0)));
           const Pte old = machine_->memory().Read64(p.arg0);
           machine_->memory().Write64(p.arg0, decisions[j].adjusted_value);

@@ -40,8 +40,8 @@ Status EmcGates::Enter(Cpu& cpu) {
   // real-thread engine (the software analogue of taking the shootdown IPI at the
   // next interruptible point). Free when nothing is pending: one relaxed load.
   cpu.DrainTlbInvalidations();
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("gates.enter", FaultAction::kFail)) {
+  FaultInjector& faults = machine_->faults();
+  if (faults.Armed() && faults.Fire("gates.enter", FaultAction::kFail)) {
     // Injected transient entry refusal (e.g. the host preempted the vCPU on the
     // very instruction of the indirect branch). No gate state was touched, so the
     // caller can simply retry the crossing.
@@ -59,8 +59,7 @@ Status EmcGates::Enter(Cpu& cpu) {
   CounterAdd(entries_);
   entry_ts_[cpu.index()] = cpu.cycles().now();
   Tracer::Global().Record(TraceEvent::kEmcEnter, cpu.index(), cpu.cycles().now());
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("gates.enter", FaultAction::kPreempt)) {
+  if (faults.Armed() && faults.Fire("gates.enter", FaultAction::kPreempt)) {
     // Adversarial interrupt timing: a host-injected interrupt lands the instant EMC
     // execution begins. The #INT gate must save and revoke the monitor view around
     // the untrusted handler and restore it afterwards — the classic PKU-gate
@@ -76,8 +75,9 @@ Status EmcGates::Enter(Cpu& cpu) {
 void EmcGates::Exit(Cpu& cpu) {
   cpu.DrainTlbInvalidations();
   cpu.cycles().Charge(cpu.costs().emc_round_trip - cpu.costs().emc_round_trip / 2);
-  if (FaultInjector::Armed()) {
-    const FaultDecision decision = FaultInjector::Global().At("gates.exit");
+  FaultInjector& faults = machine_->faults();
+  if (faults.Armed()) {
+    const FaultDecision decision = faults.At("gates.exit");
     if (decision.action == FaultAction::kCorrupt) {
       // Simulated gate-register scramble racing the exit sequence (PKRS + S_CET
       // under PKS, S_CET alone under TME-MK — a no-op write in the unfaulted

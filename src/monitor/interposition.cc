@@ -338,24 +338,6 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
       EREBOR_RETURN_IF_ERROR(out_st);
       return len;
     }
-    case emc_ioctl::kProxyDeliver: {
-      if (sandbox != nullptr) {
-        return PermissionDeniedError("proxy ioctls are not for sandbox tasks");
-      }
-      uint8_t buf[16];
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, arg_va, buf, sizeof(buf)));
-      const Vaddr src = LoadLe64(buf);
-      const uint64_t len = LoadLe64(buf + 8);
-      if (len > wire::kMaxWireBytes) {
-        // Proxy-supplied length: refuse before allocating (a hostile proxy could
-        // otherwise demand a near-2^64-byte buffer).
-        return InvalidArgumentError("proxy packet exceeds the wire limit");
-      }
-      Bytes wire(len);
-      EREBOR_RETURN_IF_ERROR(ReadGuest(*task.aspace, src, wire.data(), len));
-      EREBOR_RETURN_IF_ERROR(ProxyDeliver(cpu, wire));
-      return 0;
-    }
     case emc_ioctl::kProxyDeliverBatch: {
       if (sandbox != nullptr) {
         return PermissionDeniedError("proxy ioctls are not for sandbox tasks");

@@ -61,7 +61,7 @@ Status InvariantChecker::CheckGates() {
 }
 
 Status InvariantChecker::CheckLocks() {
-  const LockAudit& audit = LockAudit::Global();
+  const LockAudit& audit = monitor_->locks().audit();
   if (audit.ordering_violations() != 0) {
     return InternalError(std::to_string(audit.ordering_violations()) +
                          " lock-ordering violations recorded");

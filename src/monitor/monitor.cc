@@ -34,13 +34,15 @@ Bytes BuildMonitorImage() {
 
 EreborMonitor::EreborMonitor(Machine* machine, TdxModule* tdx, HostVmm* host,
                              IsolationKind isolation)
-    : machine_(machine), tdx_(tdx), host_(host), rng_(0xE2EB02) {
+    : machine_(machine), tdx_(tdx), host_(host), locks_(&machine->faults()),
+      rng_(0xE2EB02) {
   frame_table_ = std::make_unique<FrameTable>(machine->memory().num_frames());
   isolation_ = MakeIsolationBackend(isolation, machine->memory().num_frames());
   policy_ = std::make_unique<MmuPolicy>(frame_table_.get(), isolation_.get());
   gates_ = std::make_unique<EmcGates>(machine, isolation_.get());
   sandbox_mgr_ = std::make_unique<SandboxManager>(machine, frame_table_.get(),
-                                                  policy_.get(), isolation_.get());
+                                                  policy_.get(), isolation_.get(),
+                                                  &locks_.audit());
   sandbox_mgr_->SetQuarantineHook([this](Cpu& cpu, Sandbox& sandbox) {
     FenceRingsOnQuarantine(cpu, sandbox);
   });

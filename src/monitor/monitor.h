@@ -35,7 +35,7 @@ namespace emc_ioctl {
 inline constexpr uint64_t kDeclareConfined = 1;  // arg: {va, len}
 inline constexpr uint64_t kInput = 2;            // arg: {buf_va, size_inout}
 inline constexpr uint64_t kOutput = 3;           // arg: {buf_va, size}
-inline constexpr uint64_t kProxyDeliver = 4;     // arg: {buf_va, len}
+// 4 is unassigned: the handler refuses it as an unknown command.
 inline constexpr uint64_t kProxyFetch = 5;       // arg: {buf_va, cap} -> returns len
 // arg: {buf_va, len}; buf holds concatenated [LE32 packet_len | packet] frames.
 // One EMC crossing ingests the whole burst (batched per-session under the
@@ -148,14 +148,13 @@ class EreborMonitor {
   Status ActivateClone(Cpu& cpu, Sandbox& sandbox);
 
   // ---- Attestation + channel (driven by the untrusted proxy) ----
-  // Feeds one wire packet from the network; responses (if any) are queued for fetch.
-  Status ProxyDeliver(Cpu& cpu, const Bytes& wire);
-  // Batched ingest: one gated EMC round trip for a burst of packets. Control
-  // packets (hello/fin) are handled first in arrival order, then data records are
-  // grouped per target sandbox and each group is ingested under a single
-  // acquisition of that sandbox's lock — concurrent sessions on different vCPUs
-  // contend only under the kGlobal plan, not kSharded. Every packet is processed;
-  // the first failure (if any) is returned at the end.
+  // Ingest: one gated EMC round trip for a burst of packets from the network;
+  // responses (if any) are queued for fetch. Control packets (hello/fin) are
+  // handled first in arrival order, then data records are grouped per target
+  // sandbox and each group is ingested under a single acquisition of that
+  // sandbox's lock — concurrent sessions on different vCPUs contend only under
+  // the kGlobal plan, not kSharded. Every packet is processed; the first failure
+  // (if any) is returned at the end.
   Status ProxyDeliverBatch(Cpu& cpu, const std::vector<Bytes>& wires);
   // Pops the next outbound wire packet across all sandboxes (empty = none).
   // source_sandbox_out (optional) receives the owning sandbox id so a failed copy-out
@@ -236,7 +235,6 @@ class EreborMonitor {
   StatusOr<TdQuote> GenerateQuote(Cpu& cpu, const std::array<uint8_t, 64>& report_data);
 
   Status HandleHello(Cpu& cpu, const Packet& packet);
-  Status HandleDataRecord(Cpu& cpu, const RecordView& view);
   Status HandleFin(Cpu& cpu, const Packet& packet);
   // Record admission + authenticate-then-decrypt for one data record; the caller
   // holds the target sandbox's lock (so a batch can amortize one acquisition

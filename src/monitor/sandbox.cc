@@ -9,28 +9,20 @@
 
 namespace erebor {
 
-namespace {
+SandboxManager::SandboxManager(Machine* machine, FrameTable* frames, MmuPolicy* policy,
+                               IsolationBackend* isolation, LockAudit* audit)
+    : machine_(machine), frames_(frames), policy_(policy), isolation_(isolation),
+      audit_(audit) {}
 
-// Lock-discipline probe at every sandbox mutation entry point: a gated (EMC)
-// caller must hold this sandbox's lock (or the global lock in kGlobal mode).
-// Non-gated monitor paths — the syscall interposer's kill/teardown, the kill
-// observer's quarantine — run outside the gates and are exempt: they execute at
-// a point where no EMC is in flight for the sandbox.
-void NoteSandboxMutation(Cpu& cpu, const Sandbox& sandbox) {
+void SandboxManager::NoteSandboxMutation(Cpu& cpu, const Sandbox& sandbox) {
   if (cpu.in_monitor()) {
-    LockAudit::Global().ExpectSandboxHeld(cpu.index(), sandbox.id);
+    audit_->ExpectSandboxHeld(cpu.index(), sandbox.id);
   }
 }
 
-}  // namespace
-
-SandboxManager::SandboxManager(Machine* machine, FrameTable* frames, MmuPolicy* policy,
-                               IsolationBackend* isolation)
-    : machine_(machine), frames_(frames), policy_(policy), isolation_(isolation) {}
-
 void SandboxManager::Attach(Kernel* kernel, FrameNum cma_first, uint64_t cma_frames) {
   kernel_ = kernel;
-  cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames);
+  cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames, &machine_->faults());
 }
 
 PteWriter SandboxManager::TrustedWriter(Cpu& cpu, AddressSpace& aspace) {
@@ -598,8 +590,8 @@ bool SandboxManager::SyscallPermitted(const Sandbox& sandbox, const Task& task, 
 Status SandboxManager::CopyIntoSandbox(Cpu& cpu, Sandbox& sandbox, Vaddr va,
                                        const uint8_t* data, uint64_t len) {
   NoteSandboxMutation(cpu, sandbox);
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("sandbox.copy_in", FaultAction::kFail)) {
+  FaultInjector& faults = machine_->faults();
+  if (faults.Armed() && faults.Fire("sandbox.copy_in", FaultAction::kFail)) {
     // Transient shepherd fault: the caller leaves the input queued and retries, so
     // the error code must read as EAGAIN to the LibOS retry contract.
     return UnavailableError("injected shepherd fault (sandbox.copy_in)");

@@ -124,8 +124,9 @@ struct Sandbox {
 // Manages all sandboxes. The monitor owns exactly one of these.
 class SandboxManager {
  public:
+  // `audit` is the monitor lock table's audit, probed at every mutation entry.
   SandboxManager(Machine* machine, FrameTable* frames, MmuPolicy* policy,
-                 IsolationBackend* isolation);
+                 IsolationBackend* isolation, LockAudit* audit);
 
   // Binds the kernel (for task lookups) and takes ownership of the confined-memory
   // CMA range.
@@ -220,11 +221,18 @@ class SandboxManager {
  private:
   Status UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t count);
   PteWriter TrustedWriter(Cpu& cpu, AddressSpace& aspace);
+  // Lock-discipline probe at every sandbox mutation entry point: a gated (EMC)
+  // caller must hold this sandbox's lock (or the global lock in kGlobal mode).
+  // Non-gated monitor paths — the syscall interposer's kill/teardown, the kill
+  // observer's quarantine — run outside the gates and are exempt: they execute
+  // at a point where no EMC is in flight for the sandbox.
+  void NoteSandboxMutation(Cpu& cpu, const Sandbox& sandbox);
 
   Machine* machine_;
   FrameTable* frames_;
   MmuPolicy* policy_;
   IsolationBackend* isolation_;
+  LockAudit* audit_;
   Kernel* kernel_ = nullptr;
   std::unique_ptr<FrameAllocator> cma_;
   std::map<int, std::unique_ptr<Sandbox>> sandboxes_;

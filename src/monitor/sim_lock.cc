@@ -10,9 +10,9 @@
 
 namespace erebor {
 
-void SimLock::Acquire(Cpu& cpu, bool simulate_contention) {
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("lock.acquire", FaultAction::kPreempt)) {
+void SimLock::Acquire(Cpu& cpu, EmcLockTable& table) {
+  FaultInjector& faults = table.faults();
+  if (faults.Armed() && faults.Fire("lock.acquire", FaultAction::kPreempt)) {
     // Host preemption on the lock-boundary crossing: the vCPU eats one external
     // interrupt delivery before it gets the lock. Pure cycle cost — the lock
     // state itself is monitor memory the host cannot touch.
@@ -36,14 +36,14 @@ void SimLock::Acquire(Cpu& cpu, bool simulate_contention) {
     // Everything below runs under the backing mutex, so held_/holder_ and the
     // acquisition count are mutated race-free; the audit's per-CPU stack is
     // this thread's own.
-    LockAudit::Global().NoteAcquire(cpu.index(), this);
+    table.audit().NoteAcquire(cpu.index(), this);
     ++acquisitions_;
     held_ = true;
     holder_ = cpu.index();
     return;
   }
-  LockAudit::Global().NoteAcquire(cpu.index(), this);
-  if (simulate_contention && cpu.cycles().now() < free_at_) {
+  table.audit().NoteAcquire(cpu.index(), this);
+  if (table.simulate_contention() && cpu.cycles().now() < free_at_) {
     const Cycles wait = free_at_ - cpu.cycles().now();
     cpu.cycles().Charge(wait);
     ++contended_;
@@ -56,41 +56,21 @@ void SimLock::Acquire(Cpu& cpu, bool simulate_contention) {
   holder_ = cpu.index();
 }
 
-void SimLock::Release(Cpu& cpu, bool simulate_contention) {
-  if (ExecutionEngine::real_threads()) {
-    held_ = false;
-    holder_ = -1;
-    LockAudit::Global().NoteRelease(cpu.index(), this);
-    mu_->unlock();
-    if (FaultInjector::Armed() &&
-        FaultInjector::Global().Fire("lock.release", FaultAction::kPreempt)) {
-      cpu.cycles().Charge(cpu.costs().interrupt_delivery);
-    }
-    return;
-  }
-  if (simulate_contention) {
+void SimLock::Release(Cpu& cpu, EmcLockTable& table) {
+  const bool real = ExecutionEngine::real_threads();
+  if (!real && table.simulate_contention()) {
     free_at_ = std::max(free_at_, cpu.cycles().now());
   }
   held_ = false;
   holder_ = -1;
-  LockAudit::Global().NoteRelease(cpu.index(), this);
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("lock.release", FaultAction::kPreempt)) {
+  table.audit().NoteRelease(cpu.index(), this);
+  if (real) {
+    mu_->unlock();
+  }
+  FaultInjector& faults = table.faults();
+  if (faults.Armed() && faults.Fire("lock.release", FaultAction::kPreempt)) {
     cpu.cycles().Charge(cpu.costs().interrupt_delivery);
   }
-}
-
-LockAudit& LockAudit::Global() {
-  static LockAudit* audit = new LockAudit();
-  return *audit;
-}
-
-void LockAudit::Reset() {
-  for (std::vector<Held>& stack : held_) {
-    stack.clear();
-  }
-  ordering_violations_ = 0;
-  unheld_violations_ = 0;
 }
 
 uint64_t LockAudit::ordering_violations() const {
@@ -176,8 +156,9 @@ bool LockAudit::NothingHeld(int cpu) const {
          held_[static_cast<size_t>(cpu)].empty();
 }
 
-EmcLockTable::EmcLockTable()
-    : global_("emc.global", kRankGlobal),
+EmcLockTable::EmcLockTable(FaultInjector* faults)
+    : faults_(faults),
+      global_("emc.global", kRankGlobal),
       monitor_state_("monitor.state", kRankMonitorState) {
   for (int i = 0; i < kFrameShards; ++i) {
     shards_[static_cast<size_t>(i)] =

@@ -25,14 +25,16 @@
 // differ between runs, charged cycles may not, so a threaded run stays counter-
 // and cycle-identical to a single-thread run with contention simulation off.
 //
-// Locks are chaos-preemptible: when the fault injector is armed, the sites
-// "lock.acquire" / "lock.release" fire at every boundary crossing, and a
+// Locks are chaos-preemptible: when the machine's fault injector is armed, the
+// sites "lock.acquire" / "lock.release" fire at every boundary crossing, and a
 // kPreempt decision charges one interrupt delivery (the host yanked the vCPU at
 // the lock edge). Firings land in the fault journal, so lock-boundary
 // preemptions replay bit-identically from the seed.
 //
-// LockAudit (a process-global, like Tracer) tracks which locks each vCPU holds
-// and enforces the discipline the invariant checker audits:
+// Every acquire and release goes through the monitor's EmcLockTable, which
+// supplies the contention flag, the machine's injector and the table's own
+// LockAudit. The audit tracks which locks each vCPU holds and enforces the
+// discipline the invariant checker audits:
 //   - acquisition order: sandbox locks < monitor-state lock < frame shards in
 //     ascending shard index (the global lock, used in kGlobal mode, ranks below
 //     everything and is the only lock taken in that mode);
@@ -55,6 +57,8 @@
 namespace erebor {
 
 class Cpu;
+class EmcLockTable;
+class FaultInjector;
 
 // Lock ranks, ascending acquisition order. Within kRankSandbox and
 // kRankFrameShard, the sub-id (sandbox id / shard index) must also ascend.
@@ -72,12 +76,13 @@ class SimLock {
       : name_(std::move(name)), rank_(rank), sub_(sub),
         mu_(std::make_shared<std::mutex>()) {}
 
-  // Acquires on `cpu`. When `simulate_contention`, charges the cycles until the
-  // lock's last release point if the acquiring vCPU's clock is behind it. Under
-  // real_threads(), blocks on the backing mutex instead; simulated waits are
-  // never charged there (the wait is real).
-  void Acquire(Cpu& cpu, bool simulate_contention);
-  void Release(Cpu& cpu, bool simulate_contention);
+  // Acquires on `cpu`, noting it in `table`'s audit. When the table simulates
+  // contention, charges the cycles until the lock's last release point if the
+  // acquiring vCPU's clock is behind it. Under real_threads(), blocks on the
+  // backing mutex instead; simulated waits are never charged there (the wait is
+  // real).
+  void Acquire(Cpu& cpu, EmcLockTable& table);
+  void Release(Cpu& cpu, EmcLockTable& table);
 
   const std::string& name() const { return name_; }
   int rank() const { return rank_; }
@@ -117,10 +122,10 @@ class SimLock {
 class SimLockGuard {
  public:
   SimLockGuard() = default;
-  SimLockGuard(SimLock* lock, Cpu* cpu, bool simulate_contention)
-      : lock_(lock), cpu_(cpu), simulate_(simulate_contention) {
+  SimLockGuard(SimLock* lock, Cpu* cpu, EmcLockTable* table)
+      : lock_(lock), cpu_(cpu), table_(table) {
     if (lock_ != nullptr) {
-      lock_->Acquire(*cpu_, simulate_);
+      lock_->Acquire(*cpu_, *table_);
     }
   }
   ~SimLockGuard() { reset(); }
@@ -130,7 +135,7 @@ class SimLockGuard {
       reset();
       lock_ = other.lock_;
       cpu_ = other.cpu_;
-      simulate_ = other.simulate_;
+      table_ = other.table_;
       other.lock_ = nullptr;
     }
     return *this;
@@ -140,7 +145,7 @@ class SimLockGuard {
 
   void reset() {
     if (lock_ != nullptr) {
-      lock_->Release(*cpu_, simulate_);
+      lock_->Release(*cpu_, *table_);
       lock_ = nullptr;
     }
   }
@@ -148,10 +153,10 @@ class SimLockGuard {
  private:
   SimLock* lock_ = nullptr;
   Cpu* cpu_ = nullptr;
-  bool simulate_ = false;
+  EmcLockTable* table_ = nullptr;
 };
 
-// Process-global lock-discipline bookkeeping. Tracks the per-vCPU held stack
+// One lock table's lock-discipline bookkeeping. Tracks the per-vCPU held stack
 // and counts violations; the invariant checker's lock family asserts the stacks
 // are empty at safe points and that no violation was ever recorded.
 class LockAudit {
@@ -161,12 +166,6 @@ class LockAudit {
   // peer (each thread only ever touches its own stack, violation counters are
   // relaxed-atomic bumps).
   static constexpr int kMaxCpus = 64;
-
-  static LockAudit& Global();
-
-  // Drops held stacks and violation counters (worlds arm this between runs so
-  // one run's bug does not bleed into the next assertion).
-  void Reset();
 
   // Called by SimLock. Checks rank/sub ordering against the holder's stack.
   void NoteAcquire(int cpu, const SimLock* lock);
@@ -188,7 +187,6 @@ class LockAudit {
   uint64_t violations() const { return ordering_violations() + unheld_violations(); }
 
  private:
-  LockAudit() = default;
   struct Held {
     const SimLock* lock;
     int rank;
@@ -214,7 +212,8 @@ class EmcLockTable {
  public:
   static constexpr int kFrameShards = 16;
 
-  EmcLockTable();
+  // `faults` is the machine's injector (the "lock.*" probe sites).
+  explicit EmcLockTable(FaultInjector* faults);
 
   EmcLocking mode() const { return mode_; }
   void set_mode(EmcLocking mode) { mode_ = mode; }
@@ -222,6 +221,9 @@ class EmcLockTable {
   // default keeps every existing single-vCPU figure bit-identical.
   bool simulate_contention() const { return simulate_contention_; }
   void set_simulate_contention(bool on) { simulate_contention_ = on; }
+
+  FaultInjector& faults() { return *faults_; }
+  LockAudit& audit() { return audit_; }
 
   static int ShardOf(uint64_t frame) {
     return static_cast<int>((frame >> 9) % kFrameShards);  // 512-frame granules
@@ -238,12 +240,14 @@ class EmcLockTable {
     if (mode_ == EmcLocking::kGlobal) {
       return SimLockGuard();
     }
-    return SimLockGuard(&sandbox_lock, &cpu, simulate_contention_);
+    return SimLockGuard(&sandbox_lock, &cpu, this);
   }
 
  private:
   EmcLocking mode_ = EmcLocking::kSharded;
   bool simulate_contention_ = false;
+  FaultInjector* faults_;
+  LockAudit audit_;
   SimLock global_;
   SimLock monitor_state_;
   std::array<SimLock, kFrameShards> shards_;

@@ -55,12 +55,6 @@ World::World(const WorldConfig& config) : config_(config) {
   }
 }
 
-World::~World() {
-  if (chaos_) {
-    DisableChaos();
-  }
-}
-
 bool World::exit_protection() const {
   return config_.mode == SimMode::kEreborExitOnly || config_.mode == SimMode::kEreborFull;
 }
@@ -303,7 +297,7 @@ Status World::RunOnThreads(const std::function<Status(int cpu)>& body) {
 }
 
 void World::ThreadChaosTick(int cpu) {
-  FaultInjector& injector = FaultInjector::Global();
+  FaultInjector& injector = machine_->faults();
   if (!chaos_ || !injector.Armed() || cpu < 0 || cpu >= machine_->num_cpus()) {
     return;
   }
@@ -353,10 +347,7 @@ Status World::EnableChaos(const ChaosOptions& options) {
   const FaultSchedule schedule = options.schedule.rules.empty()
                                      ? FaultSchedule::Randomized(options.seed)
                                      : options.schedule;
-  FaultInjector::Global().Arm(options.seed, schedule);
-  // Re-arm the lock-discipline audit alongside the injector so a prior world's
-  // violations (or held stacks from an aborted run) don't bleed into this soak.
-  LockAudit::Global().Reset();
+  machine_->faults().Arm(options.seed, schedule);
   // One private chaos stream per vCPU, derived from (seed, cpu id): no shared
   // RNG is ever touched from a vCPU thread, and each stream's consumption is a
   // pure function of that vCPU's own tick count, so the 64-seed soak replays
@@ -369,7 +360,7 @@ Status World::EnableChaos(const ChaosOptions& options) {
   }
   // A fault can fire mid-gate or mid-delivery, where PKRS is legitimately in flux;
   // checking there would false-positive. Defer to the next slice boundary instead.
-  FaultInjector::Global().SetObserver(
+  machine_->faults().SetObserver(
       [this](const FiredFault&) { pending_invariant_check_ = true; });
   chaos_ = true;
   chaos_slice_ = 0;
@@ -380,13 +371,12 @@ Status World::EnableChaos(const ChaosOptions& options) {
 
 void World::DisableChaos() {
   chaos_ = false;
-  FaultInjector::Global().SetObserver(nullptr);
-  FaultInjector::Global().Disarm();
+  machine_->faults().Disarm();
 }
 
 void World::ChaosTick() {
   ++chaos_slice_;
-  FaultInjector& injector = FaultInjector::Global();
+  FaultInjector& injector = machine_->faults();
   if (chaos_options_.host_preempt && injector.Armed() &&
       injector.Fire("host.preempt", FaultAction::kPreempt)) {
     // Preemption target: drawn from the per-CPU stream of the vCPU whose slice

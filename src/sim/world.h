@@ -51,7 +51,7 @@ struct WorldConfig {
   KernelBuildOptions kernel_image;  // instrumented flag is forced by mode
 };
 
-// Chaos-soak configuration: arms the global fault injector and drives host-side
+// Chaos-soak configuration: arms the machine's fault injector and drives host-side
 // probes + invariant checks from the world's scheduler loop. Enable only *after*
 // Boot() — injecting faults into the boot path tests nothing the paper claims.
 struct ChaosOptions {
@@ -73,7 +73,6 @@ struct ChaosOptions {
 class World {
  public:
   explicit World(const WorldConfig& config);
-  ~World();
 
   Status Boot();
 
@@ -140,12 +139,12 @@ class World {
   void ThreadChaosTick(int cpu);
 
   // ---- Chaos soak ----
-  // Arms the global FaultInjector with options.schedule (or a seed-randomized one)
-  // and hooks host probes + invariant checks into RunUntil. Requires a booted
-  // Erebor mode (the monitor owns the invariants being checked).
+  // Arms machine().faults() with options.schedule (or a seed-randomized one) and
+  // hooks host probes + invariant checks into RunUntil. Requires a booted Erebor
+  // mode (the monitor owns the invariants being checked).
   Status EnableChaos(const ChaosOptions& options);
-  // Disarms the injector and detaches the hooks (also called from the destructor so
-  // a chaotic World never leaks an armed injector into the next test).
+  // Disarms the injector and detaches the hooks. The injector dies with the World,
+  // so nothing armed outlives it.
   void DisableChaos();
   bool chaos_enabled() const { return chaos_; }
   InvariantChecker* invariants() { return invariants_.get(); }

@@ -29,8 +29,8 @@ GhciResponse TdxModule::DispatchVmcall(const GhciRequest& request) {
 }
 
 Status TdxModule::Tdcall(Cpu& cpu, uint64_t leaf, uint64_t* args, size_t nargs) {
-  if (FaultInjector::Armed() &&
-      FaultInjector::Global().Fire("tdx.tdcall.entry", FaultAction::kFail)) {
+  FaultInjector& faults = machine_->faults();
+  if (faults.Armed() && faults.Fire("tdx.tdcall.entry", FaultAction::kFail)) {
     // Models a transient SEAMCALL/TDCALL refusal (host scheduling the SEAM module
     // out): the guest sees a retryable error, never partial module state.
     return UnavailableError("EAGAIN: injected tdcall fault");
@@ -56,8 +56,7 @@ Status TdxModule::Tdcall(Cpu& cpu, uint64_t leaf, uint64_t* args, size_t nargs) 
       request.arg0 = args[1];
       request.arg1 = args[2];
       GhciResponse response = DispatchVmcall(request);
-      if (FaultInjector::Armed() &&
-          FaultInjector::Global().Fire("tdx.tdcall.exit", FaultAction::kCorrupt)) {
+      if (faults.Armed() && faults.Fire("tdx.tdcall.exit", FaultAction::kCorrupt)) {
         // The host's GHCI response registers are untrusted. The injected corruption
         // scrubs them to the "host returned nothing" shape; consumers must treat it
         // as a failed/empty exchange and retry, never as trusted data.

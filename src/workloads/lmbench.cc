@@ -103,7 +103,11 @@ StatusOr<LmbenchResult> RunLmbench(const std::string& name, SimMode mode,
   if (world.monitor() != nullptr && mmu == MmuUpdateMode::kRing) {
     world.monitor()->EnableMmuRings(true);
   }
+  return RunLmbench(world, name, iterations);
+}
 
+StatusOr<LmbenchResult> RunLmbench(World& world, const std::string& name,
+                                   uint64_t iterations) {
   auto state = std::make_shared<BenchState>();
   state->iterations = iterations;
 

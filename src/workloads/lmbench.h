@@ -43,6 +43,10 @@ StatusOr<LmbenchResult> RunLmbench(const std::string& name, SimMode mode,
                                    uint64_t iterations = 2000,
                                    MmuUpdateMode mmu = MmuUpdateMode::kPerOp,
                                    const RunnerOptions& options = SingleCpuRunnerOptions());
+// The same benchmark on an already-booted `world` (its mode, rings and fault
+// injector as the caller set them up).
+StatusOr<LmbenchResult> RunLmbench(World& world, const std::string& name,
+                                   uint64_t iterations);
 
 }  // namespace erebor
 

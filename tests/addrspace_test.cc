@@ -10,7 +10,7 @@ class AddrSpaceTest : public testing::Test {
  protected:
   AddrSpaceTest()
       : machine_(MachineConfig{.memory_frames = 8192, .num_cpus = 1}),
-        pool_(2048, 4096) {
+        pool_(2048, 4096, &machine_.faults()) {
     cpu_ = &machine_.cpu(0);
   }
 

@@ -365,17 +365,11 @@ TEST_F(ChannelE2eTest, ReplayedDataRecordRejected) {
 // "net.to_guest" is the ClientHello, hit 1 the first DataRecord, hit 2 the second.
 // Rules pin first_hit/max_fires so exactly the intended packet is faulted.
 
-// Disarms the global injector even on assertion failure mid-test.
-struct FaultGuard {
-  ~FaultGuard() { FaultInjector::Global().Disarm(); }
-};
-
 TEST_F(ChannelE2eTest, InjectedHelloDropHealsViaResend) {
-  FaultGuard guard;
   FaultSchedule schedule;
   schedule.rules.push_back(FaultRule{
       .site = "net.to_guest", .action = FaultAction::kDrop, .max_fires = 1});
-  FaultInjector::Global().Arm(/*seed=*/21, schedule);
+  world_->machine().faults().Arm(/*seed=*/21, schedule);
   const uint64_t retries_before = MetricsRegistry::Global().Value("channel.retries");
 
   RemoteClient client(world_->MakeTrustAnchors(), 90);
@@ -390,7 +384,7 @@ TEST_F(ChannelE2eTest, InjectedHelloDropHealsViaResend) {
   ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
   EXPECT_GE(client.retries(), 1u);
   EXPECT_GT(MetricsRegistry::Global().Value("channel.retries"), retries_before);
-  EXPECT_GE(FaultInjector::Global().fired(), 1u);
+  EXPECT_GE(world_->machine().faults().fired(), 1u);
 
   // The healed session carries data normally.
   world_->ClientSend(client.SealData(ToBytes("after the storm")));
@@ -400,13 +394,12 @@ TEST_F(ChannelE2eTest, InjectedHelloDropHealsViaResend) {
 }
 
 TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
-  FaultGuard guard;
   FaultSchedule schedule;
   schedule.rules.push_back(FaultRule{.site = "net.to_guest",
                                      .action = FaultAction::kDuplicate,
                                      .first_hit = 1,
                                      .max_fires = 1});
-  FaultInjector::Global().Arm(22, schedule);
+  world_->machine().faults().Arm(22, schedule);
 
   RemoteClient client(world_->MakeTrustAnchors(), 91);
   world_->ClientSend(client.MakeHello(sandbox_->id));
@@ -434,13 +427,12 @@ TEST_F(ChannelE2eTest, InjectedDataDuplicationAbsorbedByReplayWindow) {
 }
 
 TEST_F(ChannelE2eTest, InjectedReorderHealsWithinWindow) {
-  FaultGuard guard;
   FaultSchedule schedule;
   schedule.rules.push_back(FaultRule{.site = "net.to_guest",
                                      .action = FaultAction::kReorder,
                                      .first_hit = 2,
                                      .max_fires = 1});
-  FaultInjector::Global().Arm(23, schedule);
+  world_->machine().faults().Arm(23, schedule);
 
   RemoteClient client(world_->MakeTrustAnchors(), 92);
   world_->ClientSend(client.MakeHello(sandbox_->id));
@@ -478,11 +470,10 @@ TEST_F(ChannelE2eTest, InjectedReorderHealsWithinWindow) {
 }
 
 TEST_F(ChannelE2eTest, MidHandshakeTruncationRetried) {
-  FaultGuard guard;
   FaultSchedule schedule;
   schedule.rules.push_back(FaultRule{
       .site = "net.to_guest", .action = FaultAction::kTruncate, .max_fires = 1});
-  FaultInjector::Global().Arm(24, schedule);
+  world_->machine().faults().Arm(24, schedule);
 
   RemoteClient client(world_->MakeTrustAnchors(), 93);
   // Hit 0: the hello is cut short in flight; the monitor rejects the unparseable
@@ -501,13 +492,12 @@ TEST_F(ChannelE2eTest, MidHandshakeTruncationRetried) {
 }
 
 TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
-  FaultGuard guard;
   FaultSchedule schedule;
   schedule.rules.push_back(FaultRule{.site = "net.to_guest",
                                      .action = FaultAction::kCorrupt,
                                      .first_hit = 1,
                                      .max_fires = 1});
-  FaultInjector::Global().Arm(25, schedule);
+  world_->machine().faults().Arm(25, schedule);
 
   RemoteClient client(world_->MakeTrustAnchors(), 94);
   world_->ClientSend(client.MakeHello(sandbox_->id));
@@ -536,6 +526,114 @@ TEST_F(ChannelE2eTest, CorruptedRecordRejectedThenRetransmitHeals) {
   EXPECT_EQ(*result, expected);
   EXPECT_EQ(sandbox_->session.next_recv_seq, 1u);
   EXPECT_GE(client.retries(), 1u);
+}
+
+// ---- Hostile proxy framing on the batch-ingest ioctl ----
+//
+// kProxyDeliverBatch parses [LE32 packet_len | packet]* framing that the
+// untrusted proxy supplies. A malformed burst is refused whole, before any
+// packet reaches the monitor: nothing is ingested and the target sandbox takes
+// no strike. A well-formed burst returns its packet count.
+
+void AppendFrame(Bytes* blob, const Bytes& packet, uint32_t declared_len) {
+  uint8_t len[4];
+  StoreLe32(len, declared_len);
+  blob->insert(blob->end(), len, len + 4);
+  blob->insert(blob->end(), packet.begin(), packet.end());
+}
+
+TEST_F(ChannelE2eTest, ProxyBatchIoctlRefusesHostileFramingWhole) {
+  RemoteClient client(world_->MakeTrustAnchors(), 95);
+  world_->ClientSend(client.MakeHello(sandbox_->id));
+  auto server_hello = PumpUntilClientPacket();
+  ASSERT_TRUE(server_hello.ok()) << server_hello.status().ToString();
+  ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
+
+  const Bytes first = client.SealData(ToBytes("framed one"));
+  const Bytes second = client.SealData(ToBytes("framed two"));
+  const auto size32 = [](const Bytes& b) { return static_cast<uint32_t>(b.size()); };
+  Bytes short_header;  // a whole frame, then a 2-byte length prefix
+  AppendFrame(&short_header, first, size32(first));
+  short_header.push_back(0x01);
+  short_header.push_back(0x00);
+  Bytes overrun;  // the declared length runs past the end of the buffer
+  AppendFrame(&overrun, first, size32(first) + 100);
+  Bytes valid;
+  AppendFrame(&valid, first, size32(first));
+  AppendFrame(&valid, second, size32(second));
+
+  struct Case {
+    const char* name;
+    Bytes blob;
+    uint64_t declared_len;  // the {buf_va, len} argument's len
+  };
+  const std::vector<Case> cases = {
+      {"len above the wire limit", valid, wire::kMaxWireBytes + 1},
+      {"short trailing header", short_header, short_header.size()},
+      {"frame overruns the buffer", overrun, overrun.size()},
+      {"valid two-packet burst", valid, valid.size()},
+  };
+  struct Seen {
+    StatusOr<uint64_t> result = 0;
+    uint64_t next_recv_seq = 0;
+    size_t inputs = 0;
+    uint64_t strikes = 0;
+  };
+  std::vector<Seen> seen;
+  bool done = false;
+  ASSERT_TRUE(
+      world_
+          ->LaunchProcess(
+              "hostile-proxy",
+              [&](SyscallContext& ctx) -> StepOutcome {
+                const std::string dev = "/dev/erebor";
+                const auto staging = ctx.task().aspace->CreateVma(
+                    2 * kPageSize,
+                    pte::kPresent | pte::kUser | pte::kWritable | pte::kNoExecute,
+                    VmaKind::kAnon);
+                EXPECT_TRUE(staging.ok());
+                EXPECT_TRUE(ctx.WriteUser(*staging,
+                                          reinterpret_cast<const uint8_t*>(dev.data()),
+                                          dev.size())
+                                .ok());
+                const auto fd = ctx.Syscall(sys::kOpen, *staging, dev.size(), 0);
+                EXPECT_TRUE(fd.ok());
+                const Vaddr blob_va = *staging + 64;
+                for (const Case& c : cases) {
+                  EXPECT_LE(c.blob.size(), 2 * kPageSize - 64) << c.name;
+                  EXPECT_TRUE(ctx.WriteUser(blob_va, c.blob.data(), c.blob.size()).ok());
+                  uint8_t arg[16];
+                  StoreLe64(arg, blob_va);
+                  StoreLe64(arg + 8, c.declared_len);
+                  EXPECT_TRUE(ctx.WriteUser(*staging, arg, sizeof(arg)).ok());
+                  Seen s;
+                  s.result = ctx.Syscall(sys::kIoctl, *fd,
+                                         emc_ioctl::kProxyDeliverBatch, *staging);
+                  s.next_recv_seq = sandbox_->session.next_recv_seq;
+                  s.inputs = sandbox_->input_plaintext.size();
+                  s.strikes = sandbox_->fault_strikes;
+                  seen.push_back(std::move(s));
+                }
+                done = true;
+                return StepOutcome::kExited;
+              })
+          .ok());
+  ASSERT_TRUE(world_->RunUntil([&] { return done; }).ok());
+  ASSERT_EQ(seen.size(), cases.size());
+  for (size_t i = 0; i + 1 < cases.size(); ++i) {
+    EXPECT_EQ(seen[i].result.status().code(), ErrorCode::kInvalidArgument)
+        << cases[i].name;
+    EXPECT_EQ(seen[i].next_recv_seq, 0u) << cases[i].name;
+    EXPECT_EQ(seen[i].inputs, 0u) << cases[i].name;
+    EXPECT_EQ(seen[i].strikes, 0u) << cases[i].name;
+  }
+  const Seen& ok = seen.back();
+  ASSERT_TRUE(ok.result.ok()) << ok.result.status().ToString();
+  EXPECT_EQ(*ok.result, 2u);
+  EXPECT_EQ(ok.next_recv_seq, 2u);
+  EXPECT_EQ(ok.inputs, 2u);
+  EXPECT_EQ(ok.strikes, 0u);
+  EXPECT_EQ(sandbox_->state, SandboxState::kSealed);
 }
 
 TEST_F(ChannelE2eTest, ConcurrentSessionsAreIsolated) {

@@ -25,20 +25,23 @@
 namespace erebor {
 namespace {
 
-// Restores the global injector even when a test fails mid-way (one suite binary runs
-// many tests in one process, and an armed injector would leak faults into them).
-struct FaultGuard {
-  ~FaultGuard() {
-    FaultInjector::Global().SetObserver(nullptr);
-    FaultInjector::Global().Disarm();
-  }
-};
+// A schedule whose only rule names a site that no probe ever visits: the engine is
+// armed (every probe takes its Armed() branch) but can never fire.
+FaultSchedule InertSchedule() {
+  FaultSchedule schedule;
+  schedule.rules.push_back(FaultRule{.site = "no.such.site"});
+  return schedule;
+}
 
-std::unique_ptr<World> MakeChaosWorld() {
+// `armed_inert` arms the world's injector with InertSchedule() before boot.
+std::unique_ptr<World> MakeChaosWorld(bool armed_inert = false) {
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
   config.machine.num_cpus = 2;
   auto world = std::make_unique<World>(config);
+  if (armed_inert) {
+    world->machine().faults().Arm(1, InertSchedule());
+  }
   EXPECT_TRUE(world->Boot().ok());
   EXPECT_TRUE(world->StartProxy().ok());
   return world;
@@ -213,9 +216,10 @@ SeedResult RunSeed(uint64_t seed) {
   result.outcome = RunChaosSession(*world, *sandbox, /*client_seed=*/1000 + seed);
   result.violations = world->invariant_violations();
   result.first_violation = world->first_violation().ToString();
-  result.fired = FaultInjector::Global().fired();
-  result.journal_hash = FaultInjector::Global().JournalHash();
-  result.journal = FaultInjector::Global().journal();
+  const FaultInjector& faults = world->machine().faults();
+  result.fired = faults.fired();
+  result.journal_hash = faults.JournalHash();
+  result.journal = faults.journal();
   world->DisableChaos();
   return result;
 }
@@ -223,7 +227,6 @@ SeedResult RunSeed(uint64_t seed) {
 // ---- 1. The soak ----
 
 TEST(ChaosSoakTest, SixtyFourSeedsCompleteOrQuarantineWithInvariantsIntact) {
-  FaultGuard guard;
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const uint64_t injected_before = metrics.Value("faults.injected");
   const uint64_t recovered_before = metrics.Value("faults.recovered");
@@ -260,7 +263,6 @@ TEST(ChaosSoakTest, SixtyFourSeedsCompleteOrQuarantineWithInvariantsIntact) {
 // ---- 2. Determinism / replay ----
 
 TEST(ChaosDeterminismTest, SameSeedReplaysBitIdentically) {
-  FaultGuard guard;
   for (const uint64_t seed : {3ull, 17ull, 42ull}) {
     const SeedResult first = RunSeed(seed);
     const SeedResult replay = RunSeed(seed);
@@ -304,24 +306,33 @@ TEST(ChaosDeterminismTest, RandomizedSchedulesVaryBySeed) {
 
 // ---- 3. Zero-cost when inactive ----
 
-// A schedule whose only rule names a site that no probe ever visits: the engine is
-// armed (every probe takes its Armed() branch) but can never fire.
-FaultSchedule InertSchedule() {
-  FaultSchedule schedule;
-  schedule.rules.push_back(FaultRule{.site = "no.such.site"});
-  return schedule;
+// One 200-operation fig8 microbenchmark on a fresh single-vCPU world whose
+// injector is armed with InertSchedule() from before boot when `armed_inert`.
+// `fired` receives the injector's firing count.
+StatusOr<LmbenchResult> RunLmbenchOnFreshWorld(const char* name, SimMode mode,
+                                               bool armed_inert, uint64_t* fired) {
+  WorldConfig config;
+  config.mode = mode;
+  config.machine.num_cpus = 1;
+  World world(config);
+  if (armed_inert) {
+    world.machine().faults().Arm(1, InertSchedule());
+  }
+  EREBOR_RETURN_IF_ERROR(world.Boot());
+  StatusOr<LmbenchResult> result = RunLmbench(world, name, 200);
+  *fired += world.machine().faults().fired();
+  return result;
 }
 
 TEST(ChaosNeutralityTest, Fig8CountsBitIdenticalDisarmedAndArmedInert) {
-  FaultGuard guard;
   for (const char* name : {"stat", "pagefault"}) {
-    FaultInjector::Global().Disarm();
-    const auto off_native = RunLmbench(name, SimMode::kNative, 200);
-    const auto off_erebor = RunLmbench(name, SimMode::kEreborFull, 200);
-    FaultInjector::Global().Arm(1, InertSchedule());
-    const auto on_native = RunLmbench(name, SimMode::kNative, 200);
-    const auto on_erebor = RunLmbench(name, SimMode::kEreborFull, 200);
-    FaultInjector::Global().Disarm();
+    uint64_t fired = 0;
+    const auto off_native = RunLmbenchOnFreshWorld(name, SimMode::kNative, false, &fired);
+    const auto off_erebor =
+        RunLmbenchOnFreshWorld(name, SimMode::kEreborFull, false, &fired);
+    const auto on_native = RunLmbenchOnFreshWorld(name, SimMode::kNative, true, &fired);
+    const auto on_erebor =
+        RunLmbenchOnFreshWorld(name, SimMode::kEreborFull, true, &fired);
     ASSERT_TRUE(off_native.ok() && off_erebor.ok() && on_native.ok() &&
                 on_erebor.ok());
     EXPECT_EQ(off_native->operations, on_native->operations) << name;
@@ -329,20 +340,14 @@ TEST(ChaosNeutralityTest, Fig8CountsBitIdenticalDisarmedAndArmedInert) {
     EXPECT_EQ(off_erebor->operations, on_erebor->operations) << name;
     EXPECT_EQ(off_erebor->total_cycles, on_erebor->total_cycles) << name;
     EXPECT_EQ(off_erebor->emc_count, on_erebor->emc_count) << name;
-    EXPECT_EQ(FaultInjector::Global().fired(), 0u);
+    EXPECT_EQ(fired, 0u);
   }
 }
 
 // One scripted channel session; returns the final cycle counters of both CPUs plus
 // kernel stats, the bit-exact "fig9-shaped" fingerprint of the run.
 std::vector<uint64_t> RunScriptedSessionFingerprint(bool armed_inert) {
-  FaultGuard guard;
-  if (armed_inert) {
-    FaultInjector::Global().Arm(1, InertSchedule());
-  } else {
-    FaultInjector::Global().Disarm();
-  }
-  auto world = MakeChaosWorld();
+  auto world = MakeChaosWorld(armed_inert);
   auto sandbox = AddEchoSandbox(*world, "neutral");
   EXPECT_TRUE(sandbox.ok());
   world->kernel().Run(60);
@@ -357,7 +362,7 @@ std::vector<uint64_t> RunScriptedSessionFingerprint(bool armed_inert) {
   fingerprint.push_back(stats.page_faults);
   fingerprint.push_back(stats.timer_interrupts);
   fingerprint.push_back(stats.context_switches);
-  fingerprint.push_back(FaultInjector::Global().fired());
+  fingerprint.push_back(world->machine().faults().fired());
   return fingerprint;
 }
 
@@ -370,7 +375,6 @@ TEST(ChaosNeutralityTest, SessionCyclesBitIdenticalDisarmedAndArmedInert) {
 // ---- 4. Graceful degradation: quarantine containment + allocator exhaustion ----
 
 TEST(ChaosQuarantineTest, RepeatedShepherdFaultsQuarantineOnlyTheVictim) {
-  FaultGuard guard;
   const uint64_t quarantined_before =
       MetricsRegistry::Global().Value("sandbox.quarantined");
   auto world = MakeChaosWorld();
@@ -414,7 +418,6 @@ TEST(ChaosQuarantineTest, RepeatedShepherdFaultsQuarantineOnlyTheVictim) {
 // lock family runs between slices), and the session itself never wedges.
 
 TEST(ChaosLockDisciplineTest, PreemptionAtLockBoundariesKeepsDisciplineIntact) {
-  FaultGuard guard;
   auto world = MakeChaosWorld();  // 2 vCPUs
   auto sandbox = AddEchoSandbox(*world, "lockchaos");
   ASSERT_TRUE(sandbox.ok());
@@ -429,24 +432,23 @@ TEST(ChaosLockDisciplineTest, PreemptionAtLockBoundariesKeepsDisciplineIntact) {
   options.schedule.rules.push_back(FaultRule{
       .site = "lock.release", .action = FaultAction::kPreempt, .first_hit = 2,
       .period = 5});
-  ASSERT_TRUE(world->EnableChaos(options).ok());  // also resets the LockAudit
+  ASSERT_TRUE(world->EnableChaos(options).ok());
 
   const Outcome outcome = RunChaosSession(*world, *sandbox, /*client_seed=*/31);
   EXPECT_NE(outcome, Outcome::kWedged);
-  EXPECT_GT(FaultInjector::Global().fired(), 0u)
+  EXPECT_GT(world->machine().faults().fired(), 0u)
       << "no lock-boundary preemption ever fired";
   EXPECT_EQ(world->invariant_violations(), 0u) << world->first_violation().ToString();
-  EXPECT_EQ(LockAudit::Global().ordering_violations(), 0u);
-  EXPECT_EQ(LockAudit::Global().unheld_violations(), 0u);
+  EXPECT_EQ(world->monitor()->locks().audit().ordering_violations(), 0u);
+  EXPECT_EQ(world->monitor()->locks().audit().unheld_violations(), 0u);
   for (int c = 0; c < world->machine().num_cpus(); ++c) {
-    EXPECT_TRUE(LockAudit::Global().NothingHeld(c)) << "vCPU " << c;
+    EXPECT_TRUE(world->monitor()->locks().audit().NothingHeld(c)) << "vCPU " << c;
   }
   EXPECT_TRUE(world->monitor()->AuditInvariants().ok());
   world->DisableChaos();
 }
 
 TEST(ChaosLockDisciplineTest, QuarantineUnderLockPreemptionConfinesTheVictim) {
-  FaultGuard guard;
   auto world = MakeChaosWorld();
   auto victim = AddEchoSandbox(*world, "lockvictim");
   ASSERT_TRUE(victim.ok());
@@ -468,9 +470,9 @@ TEST(ChaosLockDisciplineTest, QuarantineUnderLockPreemptionConfinesTheVictim) {
   EXPECT_EQ(outcome, Outcome::kQuarantined);
   EXPECT_EQ((*victim)->state, SandboxState::kQuarantined);
   EXPECT_EQ(world->invariant_violations(), 0u) << world->first_violation().ToString();
-  EXPECT_EQ(LockAudit::Global().violations(), 0u);
+  EXPECT_EQ(world->monitor()->locks().audit().violations(), 0u);
   for (int c = 0; c < world->machine().num_cpus(); ++c) {
-    EXPECT_TRUE(LockAudit::Global().NothingHeld(c)) << "vCPU " << c;
+    EXPECT_TRUE(world->monitor()->locks().audit().NothingHeld(c)) << "vCPU " << c;
   }
   world->DisableChaos();
 
@@ -479,12 +481,11 @@ TEST(ChaosLockDisciplineTest, QuarantineUnderLockPreemptionConfinesTheVictim) {
   ASSERT_TRUE(survivor.ok());
   world->kernel().Run(60);
   EXPECT_EQ(RunChaosSession(*world, *survivor, /*client_seed=*/34), Outcome::kCompleted);
-  EXPECT_EQ(LockAudit::Global().violations(), 0u);
+  EXPECT_EQ(world->monitor()->locks().audit().violations(), 0u);
   EXPECT_TRUE(world->monitor()->AuditInvariants().ok());
 }
 
 TEST(ChaosFrameExhaustionTest, TransientAllocatorExhaustionRecovers) {
-  FaultGuard guard;
   const uint64_t injected_before = MetricsRegistry::Global().Value("faults.injected");
   const uint64_t recovered_before = MetricsRegistry::Global().Value("faults.recovered");
   auto world = MakeChaosWorld();
@@ -505,6 +506,62 @@ TEST(ChaosFrameExhaustionTest, TransientAllocatorExhaustionRecovers) {
   EXPECT_GT(MetricsRegistry::Global().Value("faults.injected"), injected_before);
   EXPECT_GT(MetricsRegistry::Global().Value("faults.recovered"), recovered_before);
   world->DisableChaos();
+}
+
+// ---- 6. Two Worlds in one process ----
+//
+// Each World owns its fault injector (its Machine's) and its lock audit (its
+// monitor's lock table). Chaos armed on A never reaches B, even while A stays
+// armed during B's run, and A's journal is exactly a solo run's. A lock-order
+// violation on A's monitor shows in A's audit and A's invariant check only.
+
+TEST(WorldIsolationTest, ChaosAndLockAuditStayWithTheirOwnWorld) {
+  constexpr uint64_t kSeed = 3;
+  const SeedResult solo = RunSeed(kSeed);
+  ASSERT_GT(solo.fired, 0u) << "the reference run must inject something";
+
+  auto a = MakeChaosWorld();
+  auto b = MakeChaosWorld();  // B's monitor is built after A's
+  auto a_sandbox = AddEchoSandbox(*a, "echo-" + std::to_string(kSeed));
+  auto b_sandbox = AddEchoSandbox(*b, "bystander");
+  ASSERT_TRUE(a_sandbox.ok() && b_sandbox.ok());
+  a->kernel().Run(60);
+  b->kernel().Run(60);
+
+  ChaosOptions options;
+  options.seed = kSeed;
+  ASSERT_TRUE(a->EnableChaos(options).ok());
+  EXPECT_EQ(RunChaosSession(*a, *a_sandbox, /*client_seed=*/1000 + kSeed),
+            solo.outcome);
+  const FaultInjector& a_faults = a->machine().faults();
+  EXPECT_EQ(a_faults.fired(), solo.fired);
+  EXPECT_EQ(a_faults.JournalHash(), solo.journal_hash);
+
+  // B runs after A, with A's injector still armed.
+  EXPECT_EQ(RunChaosSession(*b, *b_sandbox, /*client_seed=*/77), Outcome::kCompleted);
+  EXPECT_EQ(b->machine().faults().fired(), 0u);
+  EXPECT_TRUE(b->machine().faults().journal().empty());
+  a->DisableChaos();
+
+  // The wrong-order acquisition of the threads torture test, on A's monitor:
+  // the monitor-state lock (rank 1) before a sandbox lock (rank 0).
+  EmcLockTable& a_locks = a->monitor()->locks();
+  Cpu& cpu = a->machine().cpu(0);
+  SimLock& a_sandbox_lock = (*a_sandbox)->lock;
+  a_locks.monitor_state().Acquire(cpu, a_locks);
+  a_sandbox_lock.Acquire(cpu, a_locks);
+  a_sandbox_lock.Release(cpu, a_locks);
+  a_locks.monitor_state().Release(cpu, a_locks);
+
+  EXPECT_EQ(a_locks.audit().ordering_violations(), 1u);
+  InvariantChecker a_check(a->monitor());
+  const Status a_status = a_check.CheckAll();
+  EXPECT_FALSE(a_status.ok());
+  EXPECT_NE(a_status.ToString().find("lock-ordering"), std::string::npos)
+      << a_status.ToString();
+  EXPECT_EQ(b->monitor()->locks().audit().violations(), 0u);
+  InvariantChecker b_check(b->monitor());
+  EXPECT_TRUE(b_check.CheckAll().ok()) << b_check.CheckAll().ToString();
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "src/client/client.h"
-#include "src/common/faultpoint.h"
 #include "src/common/metrics.h"
 #include "src/fleet/supervisor.h"
 #include "src/libos/libos.h"
@@ -31,13 +30,6 @@ namespace erebor {
 namespace {
 
 constexpr uint64_t kHeapBytes = 1 << 20;
-
-struct FaultGuard {
-  ~FaultGuard() {
-    FaultInjector::Global().SetObserver(nullptr);
-    FaultInjector::Global().Disarm();
-  }
-};
 
 FleetConfig PoolConfig(uint64_t seed) {
   FleetConfig config;
@@ -98,7 +90,6 @@ PoolRun RunPoolSeed(const FleetConfig& config, int burst_rounds) {
 // replacement promotes a pooled clone instead of cold-booting, and the
 // containment contract is unchanged from the cold-standby supervisor.
 TEST(ChurnSoakTest, WarmPoolContainsHostileTenantsUnderChaos) {
-  FaultGuard guard;
   for (uint64_t seed : {3u, 11u}) {
     FleetConfig config = PoolConfig(seed);
     config.chaos = true;
@@ -117,7 +108,6 @@ TEST(ChurnSoakTest, WarmPoolContainsHostileTenantsUnderChaos) {
 // Determinism: a pool-mode seed replays the same per-tenant outcome
 // fingerprint bit-for-bit.
 TEST(ChurnSoakTest, PoolModeSeedReplaysIdenticalFingerprint) {
-  FaultGuard guard;
   const FleetConfig config = PoolConfig(7);
   const PoolRun a = RunPoolSeed(config, /*burst_rounds=*/0);
   const PoolRun b = RunPoolSeed(config, /*burst_rounds=*/0);
@@ -129,7 +119,6 @@ TEST(ChurnSoakTest, PoolModeSeedReplaysIdenticalFingerprint) {
 // The threaded churn soak TSan runs: pool-mode serving followed by the
 // parallel burst on real threads must match the deterministic oracle.
 TEST(ChurnEngineOracleTest, PoolBurstMatchesAcrossEngines) {
-  FaultGuard guard;
   FleetConfig config = PoolConfig(13);
   config.exec = ExecMode::kDeterministic;
   const PoolRun oracle = RunPoolSeed(config, /*burst_rounds=*/24);
@@ -239,7 +228,6 @@ bool PromoteAndServe(World& world, CloneSlot& slot, uint64_t seed) {
 }
 
 TEST(ChurnQuarantineTest, QuarantineMidCloneContainedUnderChaos) {
-  FaultGuard guard;
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
   config.isolation = IsolationKind::kTmeMk;

@@ -203,85 +203,89 @@ TEST(SimLockTest, ContentionChargesTheExactWaitAndNothingWhenFree) {
   Machine machine(MachineConfig{.memory_frames = 64, .num_cpus = 2});
   Cpu& a = machine.cpu(0);
   Cpu& b = machine.cpu(1);
-  LockAudit::Global().Reset();
+  EmcLockTable table(&machine.faults());
+  table.set_simulate_contention(true);
   SimLock lock("test.lock", kRankMonitorState);
 
   // Uncontended acquire/release charge zero (determinism rule 1).
   const Cycles a_start = a.cycles().now();
-  lock.Acquire(a, true);
+  lock.Acquire(a, table);
   EXPECT_EQ(a.cycles().now(), a_start);
   a.cycles().Charge(500);  // critical section
-  lock.Release(a, true);
+  lock.Release(a, table);
   const Cycles free_point = a.cycles().now();
 
   // A vCPU whose clock is behind the free point is charged exactly the wait.
   const Cycles b_start = b.cycles().now();
   ASSERT_LT(b_start, free_point);
-  lock.Acquire(b, true);
+  lock.Acquire(b, table);
   EXPECT_EQ(b.cycles().now(), free_point);
   EXPECT_EQ(lock.contended(), 1u);
   EXPECT_EQ(lock.contention_cycles(), free_point - b_start);
   b.cycles().Charge(100);
-  lock.Release(b, true);
+  lock.Release(b, table);
 
   // A vCPU already past the free point pays nothing.
   a.cycles().Charge(1000);
   const Cycles a_again = a.cycles().now();
-  lock.Acquire(a, true);
+  lock.Acquire(a, table);
   EXPECT_EQ(a.cycles().now(), a_again);
   EXPECT_EQ(lock.contended(), 1u);
-  lock.Release(a, true);
+  lock.Release(a, table);
 
   // With contention simulation off the lock never charges, full stop.
+  table.set_simulate_contention(false);
   const Cycles b_again = b.cycles().now();
-  lock.Acquire(b, false);
-  lock.Release(b, false);
+  lock.Acquire(b, table);
+  lock.Release(b, table);
   EXPECT_EQ(b.cycles().now(), b_again);
-  EXPECT_EQ(LockAudit::Global().violations(), 0u);
+  EXPECT_EQ(table.audit().violations(), 0u);
 }
 
 TEST(LockAuditTest, OrderingAndUnheldProbesCountViolations) {
   Machine machine(MachineConfig{.memory_frames = 64, .num_cpus = 1});
   Cpu& cpu = machine.cpu(0);
-  LockAudit& audit = LockAudit::Global();
-  audit.Reset();
+  EmcLockTable table(&machine.faults());
+  LockAudit& audit = table.audit();
 
   SimLock sandbox7("sandbox.7", kRankSandbox, 7);
   SimLock state("monitor.state", kRankMonitorState);
 
   // Correct order (sandbox < monitor-state), LIFO release: clean.
-  sandbox7.Acquire(cpu, false);
-  state.Acquire(cpu, false);
+  sandbox7.Acquire(cpu, table);
+  state.Acquire(cpu, table);
   EXPECT_FALSE(audit.NothingHeld(0));
   audit.ExpectSandboxHeld(0, 7);
-  state.Release(cpu, false);
-  sandbox7.Release(cpu, false);
+  state.Release(cpu, table);
+  sandbox7.Release(cpu, table);
   EXPECT_TRUE(audit.NothingHeld(0));
   EXPECT_EQ(audit.violations(), 0u);
 
   // Rank inversion: monitor-state before a sandbox lock.
-  state.Acquire(cpu, false);
-  sandbox7.Acquire(cpu, false);
+  state.Acquire(cpu, table);
+  sandbox7.Acquire(cpu, table);
   EXPECT_EQ(audit.ordering_violations(), 1u);
-  sandbox7.Release(cpu, false);
-  state.Release(cpu, false);
+  sandbox7.Release(cpu, table);
+  state.Release(cpu, table);
 
-  // Mutating a sandbox without its lock (and without the global lock).
-  audit.Reset();
-  audit.ExpectSandboxHeld(0, 3);
-  audit.ExpectFrameShardHeld(0, 5);
-  EXPECT_EQ(audit.unheld_violations(), 2u);
+  // Mutating a sandbox without its lock (and without the global lock), probed
+  // on a fresh table so the inversion above does not count.
+  EmcLockTable unheld_table(&machine.faults());
+  LockAudit& unheld = unheld_table.audit();
+  unheld.ExpectSandboxHeld(0, 3);
+  unheld.ExpectFrameShardHeld(0, 5);
+  EXPECT_EQ(unheld.unheld_violations(), 2u);
 
   // The kGlobal-mode big lock covers every target.
-  audit.Reset();
+  EmcLockTable global_table(&machine.faults());
+  LockAudit& covered = global_table.audit();
   SimLock global("emc.global", kRankGlobal);
-  global.Acquire(cpu, false);
-  audit.ExpectSandboxHeld(0, 3);
-  audit.ExpectFrameShardHeld(0, 5);
-  EXPECT_EQ(audit.unheld_violations(), 0u);
-  global.Release(cpu, false);
-  EXPECT_EQ(audit.violations(), 0u);
-  audit.Reset();
+  global.Acquire(cpu, global_table);
+  covered.ExpectSandboxHeld(0, 3);
+  covered.ExpectFrameShardHeld(0, 5);
+  EXPECT_EQ(covered.unheld_violations(), 0u);
+  global.Release(cpu, global_table);
+  EXPECT_EQ(covered.violations(), 0u);
 }
 
 // ---- 5. Neutrality ----
@@ -369,7 +373,6 @@ std::vector<uint64_t> LockingModeFingerprint(EmcLocking mode) {
 
   EreborMonitor* monitor = world.monitor();
   monitor->SetEmcLocking(mode);
-  LockAudit::Global().Reset();
   for (int i = 0; i < 32; ++i) {
     const Bytes payload(128, static_cast<uint8_t>(i));
     EXPECT_TRUE(monitor
@@ -377,7 +380,7 @@ std::vector<uint64_t> LockingModeFingerprint(EmcLocking mode) {
                                              payload)
                     .ok());
   }
-  EXPECT_EQ(LockAudit::Global().violations(), 0u);
+  EXPECT_EQ(monitor->locks().audit().violations(), 0u);
   EXPECT_TRUE(monitor->AuditInvariants().ok());
 
   std::vector<uint64_t> fingerprint;

@@ -510,7 +510,8 @@ TEST_F(EmcRingTest, MidDrainMutationUnderInjectedPreemptionIsHarmless) {
                                      /*per_mille=*/1000, /*first_hit=*/0,
                                      /*period=*/1, /*max_fires=*/4});
   bool mutated = false;
-  FaultInjector::Global().SetObserver([&](const FiredFault&) {
+  FaultInjector& faults = world_->machine().faults();
+  faults.SetObserver([&](const FiredFault&) {
     if (mutated) {
       return;
     }
@@ -522,10 +523,9 @@ TEST_F(EmcRingTest, MidDrainMutationUnderInjectedPreemptionIsHarmless) {
     }
     r->sq_tail.store(tail + 3, std::memory_order_relaxed);
   });
-  FaultInjector::Global().Arm(1, schedule);
+  faults.Arm(1, schedule);
   const Status st = Doorbell();
-  FaultInjector::Global().Disarm();
-  FaultInjector::Global().SetObserver(nullptr);
+  faults.Disarm();
   ASSERT_TRUE(mutated);
   ASSERT_TRUE(st.ok()) << st.ToString();
 

@@ -27,14 +27,6 @@
 namespace erebor {
 namespace {
 
-// The injector is process-global: make sure no seed leaks an armed schedule.
-struct FaultGuard {
-  ~FaultGuard() {
-    FaultInjector::Global().SetObserver(nullptr);
-    FaultInjector::Global().Disarm();
-  }
-};
-
 FleetConfig SoakConfig(uint64_t seed) {
   FleetConfig config;
   config.num_vcpus = 2;
@@ -74,7 +66,7 @@ SoakResult RunSoakSeed(const FleetConfig& config, int burst_rounds = 16) {
   }
   result.burst = *burst;
   result.report = fleet.Report();
-  result.journal_hash = FaultInjector::Global().JournalHash();
+  result.journal_hash = fleet.world().machine().faults().JournalHash();
   result.ok = result.report.ok;
   return result;
 }
@@ -82,7 +74,6 @@ SoakResult RunSoakSeed(const FleetConfig& config, int burst_rounds = 16) {
 // ---- 1. The soak: 32 seeds of mixed hostile/benign traffic ----
 
 TEST(FleetSoakTest, ThirtyTwoSeedsContainEveryAttackWithInvariantsIntact) {
-  FaultGuard guard;
   uint64_t total_served = 0;
   uint64_t total_quarantines = 0;
   uint64_t total_replacements = 0;
@@ -123,7 +114,6 @@ TEST(FleetSoakTest, ThirtyTwoSeedsContainEveryAttackWithInvariantsIntact) {
 // ---- 2. Determinism: identical seed => identical outcome fingerprint ----
 
 TEST(FleetDeterminismTest, SameSeedReplaysIdenticalFingerprint) {
-  FaultGuard guard;
   for (uint64_t seed : {3u, 7u, 11u, 19u}) {
     const SoakResult a = RunSoakSeed(SoakConfig(seed));
     const SoakResult b = RunSoakSeed(SoakConfig(seed));
@@ -134,7 +124,6 @@ TEST(FleetDeterminismTest, SameSeedReplaysIdenticalFingerprint) {
 }
 
 TEST(FleetDeterminismTest, ChaoticRunReplaysIdenticalFaultJournal) {
-  FaultGuard guard;
   for (uint64_t seed : {5u, 23u}) {
     FleetConfig config = SoakConfig(seed);
     config.chaos = true;
@@ -148,14 +137,12 @@ TEST(FleetDeterminismTest, ChaoticRunReplaysIdenticalFaultJournal) {
     EXPECT_EQ(a.report.fingerprint, b.report.fingerprint) << "seed " << seed;
     EXPECT_EQ(a.report.invariant_violations, 0u) << a.report.error;
     EXPECT_EQ(b.report.invariant_violations, 0u) << b.report.error;
-    FaultInjector::Global().Disarm();
   }
 }
 
 // ---- 3. Engine equivalence: per-tenant served counts and burst ingest ----
 
 TEST(FleetEngineOracleTest, BurstCountsAndFingerprintsMatchAcrossEngines) {
-  FaultGuard guard;
   FleetConfig config = SoakConfig(13);
   config.exec = ExecMode::kDeterministic;
   const SoakResult oracle = RunSoakSeed(config, /*burst_rounds=*/24);
@@ -179,7 +166,6 @@ TEST(FleetEngineOracleTest, BurstCountsAndFingerprintsMatchAcrossEngines) {
 // ---- 4. Every attack class, individually contained ----
 
 TEST(FleetAttackClassTest, EachClassIsQuarantinedReplacedAndShedOnRepeat) {
-  FaultGuard guard;
   for (AttackClass attack :
        {AttackClass::kForgedRecord, AttackClass::kRelabeledRecord,
         AttackClass::kStaleHello, AttackClass::kGateProbe,
@@ -254,7 +240,6 @@ TEST(AdmissionControllerTest, SheddingIsTerminal) {
 // ---- 6. Metrics surface the fleet's decisions ----
 
 TEST(FleetMetricsTest, ReplacementsAndDeferralsAreCounted) {
-  FaultGuard guard;
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const uint64_t replacements_before = metrics.Value("fleet.replacements");
   const uint64_t deferred_before = metrics.Value("fleet.admission_deferred");

@@ -9,7 +9,8 @@ namespace {
 // ---- Frame allocator ----
 
 TEST(FrameAllocatorTest, AllocatesWithinRange) {
-  FrameAllocator alloc(100, 10);
+  FaultInjector faults;
+  FrameAllocator alloc(100, 10, &faults);
   for (int i = 0; i < 10; ++i) {
     const auto frame = alloc.Alloc();
     ASSERT_TRUE(frame.ok());
@@ -20,7 +21,8 @@ TEST(FrameAllocatorTest, AllocatesWithinRange) {
 }
 
 TEST(FrameAllocatorTest, FreeAndReuse) {
-  FrameAllocator alloc(0, 4);
+  FaultInjector faults;
+  FrameAllocator alloc(0, 4, &faults);
   const FrameNum a = *alloc.Alloc();
   ASSERT_TRUE(alloc.Free(a).ok());
   EXPECT_EQ(alloc.Free(a).code(), ErrorCode::kFailedPrecondition);  // double free
@@ -29,7 +31,8 @@ TEST(FrameAllocatorTest, FreeAndReuse) {
 }
 
 TEST(FrameAllocatorTest, ContiguousRuns) {
-  FrameAllocator alloc(10, 16);
+  FaultInjector faults;
+  FrameAllocator alloc(10, 16, &faults);
   const auto run = alloc.AllocContiguous(8);
   ASSERT_TRUE(run.ok());
   // A second 16-frame run cannot fit.
@@ -44,7 +47,8 @@ class FrameAllocPropertyTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(FrameAllocPropertyTest, AllocFreeNeverOverlaps) {
   Rng rng(GetParam());
-  FrameAllocator alloc(1000, 128);
+  FaultInjector faults;
+  FrameAllocator alloc(1000, 128, &faults);
   std::set<FrameNum> live;
   for (int step = 0; step < 2000; ++step) {
     if (rng.NextBelow(2) == 0 && !live.empty()) {

@@ -62,7 +62,6 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
                                    EngineResult* out) {
   Tracer::Global().Enable();
   Tracer::Global().Reset();
-  LockAudit::Global().Reset();
 
   WorldConfig world_config;
   world_config.mode = SimMode::kEreborFull;
@@ -178,13 +177,13 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
   for (const uint64_t f : failures) {
     out->install_failures += f;
   }
-  out->journal_hash = FaultInjector::Global().JournalHash();
-  out->faults_fired = FaultInjector::Global().fired();
+  out->journal_hash = machine.faults().JournalHash();
+  out->faults_fired = machine.faults().fired();
   out->invariant_violations = world.invariant_violations();
 
-  if (LockAudit::Global().violations() != 0) {
+  if (monitor->locks().audit().violations() != 0) {
     return testing::AssertionFailure()
-           << "lock-discipline violations: " << LockAudit::Global().violations();
+           << "lock-discipline violations: " << monitor->locks().audit().violations();
   }
   if (!monitor->AuditInvariants().ok()) {
     return testing::AssertionFailure() << "invariant audit failed";
@@ -262,7 +261,7 @@ TEST(ThreadsChaos, JournalMatchesSequentialReplay) {
 // acquisition violates the rank discipline and LockAudit must say so.
 TEST(ThreadsLockAudit, WrongOrderAcquisitionIsReportedNotDeadlocked) {
   Machine machine(MachineConfig{.memory_frames = 64, .num_cpus = 4});
-  LockAudit::Global().Reset();
+  EmcLockTable table(&machine.faults());
   SimLock state("torture.monitor_state", kRankMonitorState);
   SimLock sandbox("torture.sandbox", kRankSandbox, /*sub=*/0);
 
@@ -275,10 +274,10 @@ TEST(ThreadsLockAudit, WrongOrderAcquisitionIsReportedNotDeadlocked) {
         ExecutionEngine::CpuBinding binding(cpu);
         Cpu& vcpu = machine.cpu(cpu);
         for (int i = 0; i < kIters; ++i) {
-          state.Acquire(vcpu, false);
-          sandbox.Acquire(vcpu, false);  // rank 0 after rank 1: violation
-          sandbox.Release(vcpu, false);
-          state.Release(vcpu, false);
+          state.Acquire(vcpu, table);
+          sandbox.Acquire(vcpu, table);  // rank 0 after rank 1: violation
+          sandbox.Release(vcpu, table);
+          state.Release(vcpu, table);
         }
       });
     }
@@ -287,12 +286,11 @@ TEST(ThreadsLockAudit, WrongOrderAcquisitionIsReportedNotDeadlocked) {
     }
   }
 
-  EXPECT_EQ(LockAudit::Global().ordering_violations(),
+  EXPECT_EQ(table.audit().ordering_violations(),
             static_cast<uint64_t>(machine.num_cpus()) * kIters);
   for (int cpu = 0; cpu < machine.num_cpus(); ++cpu) {
-    EXPECT_TRUE(LockAudit::Global().NothingHeld(cpu)) << "cpu " << cpu;
+    EXPECT_TRUE(table.audit().NothingHeld(cpu)) << "cpu " << cpu;
   }
-  LockAudit::Global().Reset();
 }
 
 // Correct-order hammer: one real mutex-backed SimLock protecting a plain
@@ -300,7 +298,7 @@ TEST(ThreadsLockAudit, WrongOrderAcquisitionIsReportedNotDeadlocked) {
 // lock actually orders the accesses.
 TEST(ThreadsLockAudit, ContendedLockProtectsPlainCounter) {
   Machine machine(MachineConfig{.memory_frames = 64, .num_cpus = 8});
-  LockAudit::Global().Reset();
+  EmcLockTable table(&machine.faults());
   SimLock lock("torture.counter", kRankMonitorState);
 
   constexpr int kIters = 2000;
@@ -313,9 +311,9 @@ TEST(ThreadsLockAudit, ContendedLockProtectsPlainCounter) {
         ExecutionEngine::CpuBinding binding(cpu);
         Cpu& vcpu = machine.cpu(cpu);
         for (int i = 0; i < kIters; ++i) {
-          lock.Acquire(vcpu, false);
+          lock.Acquire(vcpu, table);
           ++plain_counter;  // data race iff the real backing mutex is broken
-          lock.Release(vcpu, false);
+          lock.Release(vcpu, table);
         }
       });
     }
@@ -326,7 +324,7 @@ TEST(ThreadsLockAudit, ContendedLockProtectsPlainCounter) {
 
   EXPECT_EQ(plain_counter,
             static_cast<uint64_t>(machine.num_cpus()) * kIters);
-  EXPECT_EQ(LockAudit::Global().violations(), 0u);
+  EXPECT_EQ(table.audit().violations(), 0u);
   EXPECT_EQ(lock.acquisitions(),
             static_cast<uint64_t>(machine.num_cpus()) * kIters);
 }
@@ -419,7 +417,6 @@ testing::AssertionResult RunRingEngine(ExecMode exec, RingEngineResult* out) {
   constexpr int kRingRounds = 24;
   constexpr int kReclaimsPerRound = 16;
 
-  LockAudit::Global().Reset();
   WorldConfig config;
   config.mode = SimMode::kEreborFull;
   config.exec = exec;
@@ -470,9 +467,9 @@ testing::AssertionResult RunRingEngine(ExecMode exec, RingEngineResult* out) {
     return testing::AssertionFailure()
            << "RunOnThreads failed: " << st.ToString();
   }
-  if (LockAudit::Global().violations() != 0) {
+  if (monitor->locks().audit().violations() != 0) {
     return testing::AssertionFailure()
-           << "lock-discipline violations: " << LockAudit::Global().violations();
+           << "lock-discipline violations: " << monitor->locks().audit().violations();
   }
   if (!monitor->AuditInvariants().ok()) {
     return testing::AssertionFailure() << "invariant audit failed";

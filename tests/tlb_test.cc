@@ -41,7 +41,7 @@ class TlbMachineTest : public testing::Test {
  protected:
   TlbMachineTest()
       : machine_(MachineConfig{.memory_frames = 8192, .num_cpus = 2}),
-        pool_(2048, 4096) {}
+        pool_(2048, 4096, &machine_.faults()) {}
 
   StatusOr<std::unique_ptr<AddressSpace>> Create() {
     return AddressSpace::Create(machine_.cpu(0), &machine_, &ops_, &pool_, nullptr);

@@ -183,7 +183,9 @@ TEST(MetricsRegistryTest, OwnedCountersHaveStableAddresses) {
   registry.Increment("a", 5);
   // Creating more counters must not invalidate the first pointer.
   for (int i = 0; i < 100; ++i) {
-    registry.Counter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.Counter(name);
   }
   EXPECT_EQ(registry.Counter("a"), a);
   EXPECT_EQ(*a, 5u);
