@@ -106,7 +106,8 @@ bool RunRingOracleCell(ExecMode exec, RingOracleCell* out) {
                 st.ToString().c_str());
     return false;
   }
-  if (monitor->locks().audit().violations() != 0 || !monitor->AuditInvariants().ok()) {
+  if (monitor->locks().audit().violations() != 0 ||
+      !InvariantChecker(monitor).CheckFrames().ok()) {
     std::printf("batched_mmu: lock/invariant audit failed (%s)\n",
                 ExecModeName(exec));
     return false;

@@ -341,7 +341,7 @@ bool RunIngestCell(int sessions, EmcLocking locking, IngestCell* out,
     std::printf("channel_throughput: lock-discipline violations recorded\n");
     return false;
   }
-  if (!monitor->AuditInvariants().ok()) {
+  if (!InvariantChecker(monitor).CheckFrames().ok()) {
     std::printf("channel_throughput: invariant audit failed\n");
     return false;
   }

@@ -161,7 +161,7 @@ bool RunCell(int vcpus, EmcLocking locking, Cell* out) {
     std::printf("emc_scaling: lock-discipline violations recorded\n");
     return false;
   }
-  if (!monitor->AuditInvariants().ok()) {
+  if (!InvariantChecker(monitor).CheckFrames().ok()) {
     std::printf("emc_scaling: invariant audit failed\n");
     return false;
   }
@@ -296,7 +296,7 @@ bool RunEngineCell(int vcpus, EmcLocking locking, ExecMode exec, EngineCell* out
                 ExecModeName(exec));
     return false;
   }
-  if (!monitor->AuditInvariants().ok()) {
+  if (!InvariantChecker(monitor).CheckFrames().ok()) {
     std::printf("emc_scaling: invariant audit failed in %s run\n",
                 ExecModeName(exec));
     return false;

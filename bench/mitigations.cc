@@ -31,11 +31,9 @@ int main() {
 
   const MitigationRow rows[] = {
       {"none", {}},
-      {"flush-on-exit",
-       {.flush_on_exit = true, .flush_cycles = 30'000}},
+      {"flush-on-exit", {.flush_on_exit = true}},
       {"rate-limit-100/s",
-       {.rate_limit_exits = true, .max_exits_per_window = 100,
-        .exit_stall_cycles = 50'000}},
+       {.rate_limit_exits = true, .max_exits_per_window = 100}},
       {"quantized-output",
        {.quantize_output = true, .output_interval = 50'000'000}},
   };

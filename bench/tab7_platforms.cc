@@ -28,7 +28,7 @@
 #include "src/common/metrics.h"
 #include "src/hw/platform.h"
 #include "src/libos/libos.h"
-#include "src/monitor/invariants.h"
+#include "src/sim/invariants.h"
 #include "src/sim/world.h"
 
 using namespace erebor;

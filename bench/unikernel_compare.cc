@@ -12,15 +12,19 @@ using namespace erebor;
 namespace {
 
 // The monitor's TCB as measured by scripts/tcb_loc.sh over the source tree this
-// binary was built from; -1 when the script cannot be run.
+// binary was built from (the total is the script's last line); -1 when the script
+// cannot be run.
 long MeasuredTcbLines() {
   FILE* pipe = popen("'" EREBOR_SOURCE_DIR "/scripts/tcb_loc.sh' 2>/dev/null", "r");
   if (pipe == nullptr) {
     return -1;
   }
   long lines = -1;
-  if (std::fscanf(pipe, "%ld", &lines) != 1) {
-    lines = -1;
+  char line[256];
+  while (std::fgets(line, sizeof(line), pipe) != nullptr) {
+    if (std::sscanf(line, "%ld", &lines) != 1) {
+      lines = -1;
+    }
   }
   pclose(pipe);
   return lines;

@@ -311,55 +311,36 @@ void NoteChannelAuthReject() {
   MetricsRegistry::Global().Increment("channel.corrupt_rejects");
 }
 
-namespace {
-
-// Shared admission logic; `stash` is invoked only for kStashed so the zero-copy
-// caller materializes a SealedRecord copy only when one is actually parked.
-template <typename StashFn>
-ChannelSession::RecordAdmit AdmitRecordImpl(ChannelSession& session, uint64_t seq,
-                                            StashFn&& stash) {
-  using RecordAdmit = ChannelSession::RecordAdmit;
-  if (seq < session.next_recv_seq) {
+ChannelSession::RecordAdmit ChannelSession::AdmitRecord(const RecordView& view) {
+  const uint64_t seq = view.sequence;
+  if (seq < next_recv_seq) {
     // Replay window: a duplicate of an already-accepted record. It is absorbed,
     // never re-decrypted or re-delivered (replay cannot double-install client data).
-    ++session.duplicates;
+    ++duplicates;
     MetricsRegistry::Global().Increment("channel.duplicates");
     return RecordAdmit::kDuplicate;
   }
-  if (seq > session.next_recv_seq) {
-    if (seq - session.next_recv_seq > ChannelSession::kReorderWindow) {
-      ++session.rejects;
+  if (seq > next_recv_seq) {
+    if (seq - next_recv_seq > kReorderWindow) {
+      ++rejects;
       MetricsRegistry::Global().Increment("channel.rejects");
       return RecordAdmit::kRejected;
     }
     // Reordered ahead of a gap: stash the sealed record until the gap fills.
     // Nothing is decrypted out of order — AEAD still runs at exactly the
     // expected sequence.
-    ++session.reorders;
+    ++reorders;
     MetricsRegistry::Global().Increment("channel.reorders");
-    stash();
+    SealedRecord& slot = reorder[seq];
+    slot.sequence = seq;
+    slot.ciphertext.assign(view.ciphertext, view.ciphertext + view.ciphertext_len);
+    slot.tag = view.tag;
     // Every key is in (next_recv_seq, next_recv_seq + kReorderWindow], so the
     // buffer can never hold more than kReorderWindow entries.
-    assert(session.reorder.size() <= ChannelSession::kReorderWindow);
+    assert(reorder.size() <= kReorderWindow);
     return RecordAdmit::kStashed;
   }
   return RecordAdmit::kInSequence;
-}
-
-}  // namespace
-
-ChannelSession::RecordAdmit ChannelSession::AdmitRecord(uint64_t seq,
-                                                        const SealedRecord& record) {
-  return AdmitRecordImpl(*this, seq, [&] { reorder[seq] = record; });
-}
-
-ChannelSession::RecordAdmit ChannelSession::AdmitRecord(const RecordView& view) {
-  return AdmitRecordImpl(*this, view.sequence, [&] {
-    SealedRecord& slot = reorder[view.sequence];
-    slot.sequence = view.sequence;
-    slot.ciphertext.assign(view.ciphertext, view.ciphertext + view.ciphertext_len);
-    slot.tag = view.tag;
-  });
 }
 
 bool ChannelSession::TakeDrainable(SealedRecord* out) {

@@ -133,10 +133,8 @@ struct ChannelSession {
 
   // Classifies (and accounts for) one inbound record: duplicate/reorder/reject
   // counters and their global metrics are bumped here, and a kStashed record is
-  // parked in the reorder buffer. The caller only decrypts on kInSequence.
-  RecordAdmit AdmitRecord(uint64_t seq, const SealedRecord& record);
-  // Same, for the zero-copy path: the view's ciphertext is copied into the stash
-  // only when the record is actually parked (kStashed).
+  // parked in the reorder buffer (the view's ciphertext is copied only then). The
+  // caller only decrypts on kInSequence.
   RecordAdmit AdmitRecord(const RecordView& view);
 
   // Pops the stashed record at next_recv_seq, if any (the drain loop after an

@@ -242,20 +242,6 @@ void EreborMonitor::NoteDenial(Cpu& cpu) {
   Tracer::Global().Record(TraceEvent::kPolicyDenial, cpu.index(), cpu.cycles().now());
 }
 
-void EreborMonitor::ShootdownAfterPteWrite(Cpu& cpu, Paddr entry_pa, Pte old_value,
-                                           Pte new_value) {
-  // Conservative predicate: any change to a previously present entry. The security-
-  // critical subset is PteRevokesPermissions(), but grant-only rewrites are also
-  // invalidated so cached WalkResults never diverge from the tables.
-  if (!pte::Present(old_value) || old_value == new_value) {
-    return;
-  }
-  CounterAdd(counters_.tlb_shootdowns);
-  if (Tlb::hooks().pte_shootdown) {
-    machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-  }
-}
-
 // ---- MMU / monitor-state EMC bodies ----
 
 // The policy/apply sequence shared by the synchronous EmcWritePte and the ring
@@ -279,16 +265,8 @@ Status EreborMonitor::WritePteBodyLocked(Cpu& cpu, Paddr entry_pa, Pte value,
     NoteDenial(cpu);
     return PermissionDeniedError("EMC WritePte refused: " + decision.denial_reason);
   }
-  locks_.audit().ExpectFrameShardHeld(cpu.index(),
-                                      EmcLockTable::ShardOf(FrameOf(entry_pa)));
-  const Pte old = machine_->memory().Read64(entry_pa);
-  machine_->memory().Write64(entry_pa, decision.adjusted_value);
-  policy_->NoteLeafWrite(old, decision.adjusted_value, entry_pa);
-  if (deferred == nullptr) {
-    ShootdownAfterPteWrite(cpu, entry_pa, old, decision.adjusted_value);
-  } else if (pte::Present(old) && old != decision.adjusted_value) {
-    deferred->Add(entry_pa);
-  }
+  policy_->StorePte(PteStore::kEmc, cpu.index(), entry_pa, decision.adjusted_value,
+                    deferred);
   return OkStatus();
 }
 
@@ -322,39 +300,34 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   ptp_info.ptp_root = frame_table_->info(FrameOf(entry_pa)).ptp_root;
   // The pool frame usually still has a default-key direct-map leaf: re-key it now or
   // the kernel could forge entries in the new table through that old mapping.
-  EREBOR_RETURN_IF_ERROR(
-      policy_->RetrofitTag(&cpu, machine_->memory(), ptp, ProtClass::kPtp, false));
+  EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, ptp, ProtClass::kPtp, false));
 
-  // Validate + install every 4 KiB entry through the normal policy (this is the whole
-  // point: per-page rules apply inside the former huge page).
+  // Validate every 4 KiB entry through the normal policy (this is the whole point:
+  // per-page rules apply inside the former huge page) before installing any, so a
+  // refused subpage leaves the frame table untouched.
+  std::array<Pte, kPteEntries> small{};
   for (uint64_t i = 0; i < kPteEntries; ++i) {
-    const Pte small = pte::Make(base + i, small_flags);
     const Paddr slot = AddrOf(ptp) + i * sizeof(Pte);
-    const PolicyDecision decision = policy_->CheckPteWrite(slot, small);
+    const PolicyDecision decision =
+        policy_->CheckPteWrite(slot, pte::Make(base + i, small_flags));
     if (!decision.allowed) {
       NoteDenial(cpu);
-      // Roll back the subpage entries already installed: their NoteLeafWrite map
-      // counts must be undone before the PTP frame is freed, or the frame table
-      // permanently over-counts mappings of frames in this range.
-      for (uint64_t j = 0; j < i; ++j) {
-        const Paddr done_slot = AddrOf(ptp) + j * sizeof(Pte);
-        const Pte installed = machine_->memory().Read64(done_slot);
-        machine_->memory().Write64(done_slot, 0);
-        policy_->NoteLeafWrite(installed, 0, done_slot);
-      }
       (void)kernel_->pool().Free(ptp);
       // Restore normal typing and the default-key direct-map leaf, but keep the
       // reverse-map fields: the direct map still references this frame.
       ptp_info.type = FrameType::kNormal;
       ptp_info.ptp_level = 0;
       ptp_info.ptp_root = 0;
-      (void)policy_->RetrofitTag(&cpu, machine_->memory(), ptp, ProtClass::kDefault,
-                                 false);
+      (void)policy_->RetrofitTag(&cpu, ptp, ProtClass::kDefault, false);
       return PermissionDeniedError("huge-page split refused at subpage " +
                                    std::to_string(i) + ": " + decision.denial_reason);
     }
-    machine_->memory().Write64(slot, decision.adjusted_value);
-    policy_->NoteLeafWrite(0, decision.adjusted_value, slot);
+    small[i] = decision.adjusted_value;
+  }
+  // The new table is private to this call until linked below: trusted stores.
+  for (uint64_t i = 0; i < kPteEntries; ++i) {
+    policy_->StorePte(PteStore::kTrusted, cpu.index(), AddrOf(ptp) + i * sizeof(Pte),
+                      small[i]);
   }
   cpu.cycles().Charge(kPteEntries * cpu.costs().monitor_pte_op);
 
@@ -363,12 +336,9 @@ Status EreborMonitor::SplitHugePageLocked(Cpu& cpu, Paddr entry_pa, Pte huge_val
   if (pte::User(huge_value)) {
     inter |= pte::kUser;
   }
-  const Pte old = machine_->memory().Read64(entry_pa);
-  machine_->memory().Write64(entry_pa, inter);
-  policy_->NoteLeafWrite(old, inter);
   // The former huge leaf may be cached; the relinked intermediate changes every
-  // translation under it.
-  ShootdownAfterPteWrite(cpu, entry_pa, old, inter);
+  // translation under it, and the store shoots it down.
+  policy_->StorePte(PteStore::kEmc, cpu.index(), entry_pa, inter);
   CounterAdd(counters_.huge_splits);
   return OkStatus();
 }
@@ -394,8 +364,8 @@ Status EreborMonitor::RegisterPtpBodyLocked(Cpu& cpu, FrameNum frame, Paddr root
   info.ptp_level = AddrOf(frame) == root_pa ? 4 : 0;
   // The frame may already be mapped (direct map, default key): retrofit the PTP key
   // so the kernel cannot write the new page table through the old mapping.
-  EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), frame,
-                                              ProtClass::kPtp, /*strip_write=*/false));
+  EREBOR_RETURN_IF_ERROR(
+      policy_->RetrofitTag(&cpu, frame, ProtClass::kPtp, /*strip_write=*/false));
   return OkStatus();
 }
 
@@ -463,6 +433,27 @@ Status EreborMonitor::EmcLoadIdt(Cpu& cpu, const IdtTable* table) {
   });
 }
 
+Status EreborMonitor::ScreenUsercopy(Cpu& cpu, Vaddr va, uint64_t len,
+                                     const char* direction) {
+  for (Vaddr page = PageAlignDown(va); page < va + len; page += kPageSize) {
+    const auto walk = cpu.WalkCached(cpu.cr3(), page, CpuMode::kSupervisor);
+    if (!walk.ok()) {
+      continue;
+    }
+    const FrameInfo& info = frame_table_->info(FrameOf(walk->pa));
+    if (info.type != FrameType::kSandboxConfined) {
+      continue;
+    }
+    const Sandbox* sandbox = sandbox_mgr_->Find(info.owner_sandbox);
+    if (sandbox != nullptr && sandbox->state == SandboxState::kSealed) {
+      NoteDenial(cpu);
+      return PermissionDeniedError(std::string("usercopy ") + direction +
+                                   " sealed confined memory refused");
+    }
+  }
+  return OkStatus();
+}
+
 Status EreborMonitor::EmcCopyToUser(Cpu& cpu, Vaddr dst, const uint8_t* src, uint64_t len) {
   EmcCall call{};
   call.op = EmcOp::kCopyToUser;
@@ -470,21 +461,7 @@ Status EreborMonitor::EmcCopyToUser(Cpu& cpu, Vaddr dst, const uint8_t* src, uin
   call.args.value = dst;
   call.args.len = len;
   return EmcDispatch(cpu, call, [&]() -> Status {
-    // The monitor emulates the user copy on behalf of the kernel. It refuses targets
-    // inside sealed-sandbox confined memory (the kernel must never move sandbox data).
-    for (Vaddr va = PageAlignDown(dst); va < dst + len; va += kPageSize) {
-      const auto walk = cpu.WalkCached(cpu.cr3(), va, CpuMode::kSupervisor);
-      if (walk.ok()) {
-        const FrameInfo& info = frame_table_->info(FrameOf(walk->pa));
-        if (info.type == FrameType::kSandboxConfined) {
-          Sandbox* sandbox = sandbox_mgr_->Find(info.owner_sandbox);
-          if (sandbox != nullptr && sandbox->state == SandboxState::kSealed) {
-            NoteDenial(cpu);
-            return PermissionDeniedError("usercopy into sealed confined memory refused");
-          }
-        }
-      }
-    }
+    EREBOR_RETURN_IF_ERROR(ScreenUsercopy(cpu, dst, len, "into"));
     cpu.cycles().Charge(len * cpu.costs().usercopy_per_byte_x100 / 100);
     cpu.TrustedSetAc(true);  // stac cost is part of monitor_stac_op
     const Status st = cpu.WriteVirt(dst, src, len);
@@ -499,19 +476,7 @@ Status EreborMonitor::EmcCopyFromUser(Cpu& cpu, Vaddr src, uint8_t* dst, uint64_
   call.args.value = src;
   call.args.len = len;
   return EmcDispatch(cpu, call, [&]() -> Status {
-    for (Vaddr va = PageAlignDown(src); va < src + len; va += kPageSize) {
-      const auto walk = cpu.WalkCached(cpu.cr3(), va, CpuMode::kSupervisor);
-      if (walk.ok()) {
-        const FrameInfo& info = frame_table_->info(FrameOf(walk->pa));
-        if (info.type == FrameType::kSandboxConfined) {
-          Sandbox* sandbox = sandbox_mgr_->Find(info.owner_sandbox);
-          if (sandbox != nullptr && sandbox->state == SandboxState::kSealed) {
-            NoteDenial(cpu);
-            return PermissionDeniedError("usercopy from sealed confined memory refused");
-          }
-        }
-      }
-    }
+    EREBOR_RETURN_IF_ERROR(ScreenUsercopy(cpu, src, len, "from"));
     cpu.cycles().Charge(len * cpu.costs().usercopy_per_byte_x100 / 100);
     cpu.TrustedSetAc(true);
     const Status st = cpu.ReadVirt(src, dst, len);
@@ -575,8 +540,7 @@ StatusOr<Paddr> EreborMonitor::EmcLoadKernelModule(Cpu& cpu, const Bytes& code) 
       (void)frame_table_->SetType(first + i, FrameType::kKernelText);
       // W^X through *all* mappings: the direct-map view loses W and gets the
       // kernel-text key.
-      EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), first + i,
-                                                  ProtClass::kKernelText,
+      EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, first + i, ProtClass::kKernelText,
                                                   /*strip_write=*/true));
     }
     EREBOR_RETURN_IF_ERROR(

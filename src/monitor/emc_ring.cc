@@ -16,7 +16,7 @@
 // Hostile shapes — unknown opcodes, orphan span payloads, span overruns,
 // out-of-range or misaligned targets, overlapping PTE writes, forged sandbox
 // ids, wrapped head/tail indexes — are refused *without* charging any Table-4
-// cost and strike-counted; at EmcRingTable::kStrikeLimit the ring is poisoned
+// cost and strike-counted; at kStrikeLimit (sandbox.h) the ring is poisoned
 // and its bound sandbox (if any) quarantined. Policy refusals (MmuPolicy saying
 // no) are ordinary denials: error CQE, NoteDenial, no strike.
 #include <set>
@@ -261,15 +261,8 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
           break;
         }
         for (size_t j = 0; j < count; ++j) {
-          const RingSqe& p = window[i + 1 + j];
-          locks_.audit().ExpectFrameShardHeld(
-              cpu.index(), EmcLockTable::ShardOf(FrameOf(p.arg0)));
-          const Pte old = machine_->memory().Read64(p.arg0);
-          machine_->memory().Write64(p.arg0, decisions[j].adjusted_value);
-          policy_->NoteLeafWrite(old, decisions[j].adjusted_value, p.arg0);
-          if (pte::Present(old) && old != decisions[j].adjusted_value) {
-            shootdowns.Add(p.arg0);
-          }
+          policy_->StorePte(PteStore::kEmc, cpu.index(), window[i + 1 + j].arg0,
+                            decisions[j].adjusted_value, &shootdowns);
         }
         applied(sqe);
         break;
@@ -337,9 +330,7 @@ Status EreborMonitor::DrainRingLocked(Cpu& cpu, RingState& rs,
 
   for (const Paddr entry_pa : shootdowns.entries()) {
     CounterAdd(counters_.tlb_shootdowns);
-    if (Tlb::hooks().pte_shootdown) {
-      machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-    }
+    machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
   }
   if (shootdowns.coalesced() > 0) {
     CounterAdd(counters_.ring_shootdowns_coalesced, shootdowns.coalesced());
@@ -396,7 +387,7 @@ void EreborMonitor::RingPostStrikes(Cpu& cpu, RingState& rs, uint32_t strikes) {
     return;
   }
   rs.strikes += strikes;
-  if (rs.strikes < EmcRingTable::kStrikeLimit || rs.poisoned) {
+  if (rs.strikes < kStrikeLimit || rs.poisoned) {
     return;
   }
   // Enough hostile-shaped submissions: poison the ring (every further doorbell

@@ -54,9 +54,6 @@ struct RingState {
 // it to the machine. Rings are identified by vCPU index.
 class EmcRingTable {
  public:
-  // Strikes before a ring is poisoned; matches SandboxSpec::max_fault_strikes.
-  static constexpr uint32_t kStrikeLimit = 8;
-
   void Enable(int num_cpus) {
     states_.clear();
     for (int i = 0; i < num_cpus; ++i) {

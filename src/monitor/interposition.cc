@@ -148,7 +148,7 @@ void EreborMonitor::ApplyExitMitigations(Cpu& cpu, Sandbox& sandbox) {
     // Evict caches/TLB so the untrusted kernel cannot probe the sandbox's footprint.
     // The simulated TLB really flushes now (previously this was only a cycle charge);
     // the charge is unchanged so the mitigation stays cycle-neutral w.r.t. EREBOR_TLB.
-    cpu.cycles().Charge(mitigations_.flush_cycles);
+    cpu.cycles().Charge(MitigationConfig::kFlushCycles);
     ++counters_.cache_flushes;
     Tracer::Global().Record(TraceEvent::kTlbFlush, cpu.index(), cpu.cycles().now());
     if (Tlb::Enabled() && Tlb::hooks().flush_on_exit) {
@@ -163,7 +163,7 @@ void EreborMonitor::ApplyExitMitigations(Cpu& cpu, Sandbox& sandbox) {
       sandbox.exits_in_window = 0;
     }
     if (++sandbox.exits_in_window > mitigations_.max_exits_per_window) {
-      cpu.cycles().Charge(mitigations_.exit_stall_cycles);
+      cpu.cycles().Charge(MitigationConfig::kExitStallCycles);
       ++counters_.exit_stalls;
     }
   }
@@ -269,7 +269,7 @@ StatusOr<uint64_t> EreborMonitor::DeviceIoctl(SyscallContext& ctx, Task& task,
         // sandbox that keeps faulting gets quarantined — torn down and scrubbed —
         // rather than wedging the session forever.
         ++sandbox->fault_strikes;
-        if (sandbox->fault_strikes >= sandbox->spec.max_fault_strikes) {
+        if (sandbox->fault_strikes >= kStrikeLimit) {
           EREBOR_RETURN_IF_ERROR(sandbox_mgr_->Quarantine(
               cpu, *sandbox, "repeated shepherd copy faults: " + copy_st.ToString()));
         }

@@ -1,6 +1,10 @@
 #include "src/monitor/mmu_policy.h"
 
+#include "src/common/exec.h"
 #include "src/hw/cpu.h"
+#include "src/hw/machine.h"
+#include "src/hw/tlb.h"
+#include "src/monitor/sim_lock.h"
 
 namespace erebor {
 
@@ -215,6 +219,36 @@ Status MmuPolicy::CheckSharedConversion(FrameNum first, uint64_t count,
   return OkStatus();
 }
 
+void MmuPolicy::StorePte(PteStore kind, int cpu, Paddr entry_pa, Pte value,
+                         TlbShootdownBatch* deferred) {
+  if (kind == PteStore::kEmc) {
+    audit_->ExpectFrameShardHeld(cpu, EmcLockTable::ShardOf(FrameOf(entry_pa)));
+  }
+  PhysMemory& memory = machine_->memory();
+  const Pte old = memory.Read64(entry_pa);
+  memory.Write64(entry_pa, value);
+  NoteLeafWrite(old, value, entry_pa);
+  // Conservative predicate: any change to a previously present entry. The
+  // security-critical subset is PteRevokesPermissions(), but grant-only rewrites
+  // are also invalidated so cached walks never diverge from the tables.
+  if (!pte::Present(old) || old == value) {
+    return;
+  }
+  const bool hooked = kind == PteStore::kRetrofit ? Tlb::hooks().retrofit_shootdown
+                                                  : Tlb::hooks().pte_shootdown;
+  if (!hooked) {
+    return;
+  }
+  if (deferred != nullptr) {
+    deferred->Add(entry_pa);
+    return;
+  }
+  if (kind != PteStore::kTrusted) {
+    CounterAdd(*tlb_shootdowns_);
+  }
+  machine_->ShootdownTlbLeaf(entry_pa, cpu);
+}
+
 void MmuPolicy::NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa) {
   if (pte::Present(old_value)) {
     FrameInfo& info = frames_->info(pte::Frame(old_value));
@@ -240,8 +274,7 @@ void MmuPolicy::NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa) {
   }
 }
 
-Status MmuPolicy::RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame,
-                              ProtClass cls, bool strip_write) {
+Status MmuPolicy::RetrofitTag(Cpu* cpu, FrameNum frame, ProtClass cls, bool strip_write) {
   // Bind the frame at the backend's controller first (no-op under PKS): from here
   // on, accesses through any untagged view are refused by the binding even before
   // the PTE rewrite below lands.
@@ -250,7 +283,7 @@ Status MmuPolicy::RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame,
   if (info.supervisor_leaf_pa == 0) {
     return OkStatus();  // no pre-existing supervisor mapping
   }
-  const Pte current = memory.Read64(info.supervisor_leaf_pa);
+  const Pte current = machine_->memory().Read64(info.supervisor_leaf_pa);
   if (!pte::Present(current) || pte::Frame(current) != frame) {
     info.supervisor_leaf_pa = 0;  // stale record
     return OkStatus();
@@ -259,12 +292,10 @@ Status MmuPolicy::RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame,
   if (strip_write) {
     updated &= ~pte::kWritable;
   }
-  memory.Write64(info.supervisor_leaf_pa, updated);
-  // The direct-map leaf just changed tag/W under live translations: without this
-  // shootdown the kernel could keep writing the re-typed frame through a cached walk.
-  if (updated != current && tlb_shootdown_) {
-    tlb_shootdown_(info.supervisor_leaf_pa);
-  }
+  // The direct-map leaf changes tag/W under live translations: the store's
+  // shootdown keeps the kernel from writing the re-typed frame through a cached
+  // walk. Retrofit shootdowns are broadcast from vCPU 0.
+  StorePte(PteStore::kRetrofit, /*cpu=*/0, info.supervisor_leaf_pa, updated);
   return OkStatus();
 }
 

@@ -17,6 +17,10 @@
 
 namespace erebor {
 
+class LockAudit;
+class Machine;
+class TlbShootdownBatch;
+
 struct PolicyDecision {
   bool allowed = false;
   Pte adjusted_value = 0;  // value to actually write when allowed
@@ -26,10 +30,23 @@ struct PolicyDecision {
   std::string denial_reason;
 };
 
+// Who stores a page-table entry through MmuPolicy::StorePte. The kind decides
+// the lock probe and which TLB hook governs the shootdown, and whether the
+// shootdown counts in monitor.tlb_shootdowns.
+enum class PteStore : uint8_t {
+  kTrusted,   // the monitor's own mappings (sandbox manager, split tables)
+  kEmc,       // a kernel-requested store; the caller holds the entry's frame shard
+  kRetrofit,  // RetrofitTag re-tagging a live supervisor leaf in place
+};
+
 class MmuPolicy {
  public:
-  MmuPolicy(FrameTable* frames, IsolationBackend* isolation)
-      : frames_(frames), isolation_(isolation) {}
+  // `tlb_shootdowns` is the monitor counter that EMC and retrofit shootdowns
+  // bump; `audit` receives the frame-shard probe of kEmc stores.
+  MmuPolicy(Machine* machine, FrameTable* frames, IsolationBackend* isolation,
+            LockAudit* audit, uint64_t* tlb_shootdowns)
+      : machine_(machine), frames_(frames), isolation_(isolation), audit_(audit),
+        tlb_shootdowns_(tlb_shootdowns) {}
 
   // Installed by the sandbox manager: approves user mappings of common-region frames
   // (root of the requesting address space, target frame, writability).
@@ -37,12 +54,6 @@ class MmuPolicy {
   void SetCommonValidator(CommonMappingValidator validator) {
     common_validator_ = std::move(validator);
   }
-
-  // Installed by the monitor: machine-wide software-TLB shootdown for a rewritten
-  // leaf entry (RetrofitTag changes a live supervisor mapping's tag/W in place, so
-  // cached walks of the direct map must be dropped).
-  using TlbShootdownFn = std::function<void(Paddr)>;
-  void SetTlbShootdown(TlbShootdownFn shootdown) { tlb_shootdown_ = std::move(shootdown); }
 
   // Validates a kernel-requested PTE store at `entry_pa` with `value`. Non-const:
   // allowed intermediate writes link the child PTP's paging level.
@@ -63,25 +74,33 @@ class MmuPolicy {
   // Validates a MapGPA shared conversion: only the shared-IO window may be shared.
   Status CheckSharedConversion(FrameNum first, uint64_t count, bool to_shared) const;
 
-  // Accounting hook: called after an allowed leaf write so single-mapping counts and
-  // the supervisor reverse map stay accurate. old_value is the previous entry
-  // contents; entry_pa is where the PTE lives.
-  void NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa = 0);
+  // The monitor's one page-table store: writes `value` at `entry_pa`, keeps the
+  // frame table's map counts and supervisor reverse map current, and, when a
+  // present entry changed, drops its cached translations on every CPU (the
+  // monitor's own TLB obligation, which holds even for a kernel that skips
+  // invlpg). `deferred` non-null queues that shootdown for one coalesced flush
+  // instead (ring drains). `cpu` is the storing vCPU; callers charge cycles.
+  void StorePte(PteStore kind, int cpu, Paddr entry_pa, Pte value,
+                TlbShootdownBatch* deferred = nullptr);
 
   // Retrofits a protection class (and optionally strips W) onto a frame — binds the
   // frame at the backend and rewrites any pre-existing supervisor mapping, closing
   // the window where a frame is re-typed after its direct-map entry was created
   // with the default tag. `cpu` may be null (no per-op cost accounting).
-  Status RetrofitTag(Cpu* cpu, PhysMemory& memory, FrameNum frame, ProtClass cls,
-                     bool strip_write);
+  Status RetrofitTag(Cpu* cpu, FrameNum frame, ProtClass cls, bool strip_write);
 
   IsolationBackend& isolation() const { return *isolation_; }
 
  private:
+  // Single-mapping counts and the supervisor reverse map after a leaf store.
+  void NoteLeafWrite(Pte old_value, Pte new_value, Paddr entry_pa);
+
+  Machine* machine_;
   FrameTable* frames_;
   IsolationBackend* isolation_;
+  LockAudit* audit_;
+  uint64_t* tlb_shootdowns_;
   CommonMappingValidator common_validator_;
-  TlbShootdownFn tlb_shootdown_;
 };
 
 }  // namespace erebor

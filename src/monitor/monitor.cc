@@ -1,7 +1,7 @@
-// Monitor lifecycle: image construction, measured stage-1/stage-2 boot, and the
-// global invariant audit. The gated EMC surface is in emc_dispatch.cc, the
-// attestation/channel handlers in attestation.cc, and exit interposition plus
-// the /dev/erebor driver in interposition.cc.
+// Monitor lifecycle: image construction and measured stage-1/stage-2 boot. The
+// gated EMC surface is in emc_dispatch.cc, the attestation/channel handlers in
+// attestation.cc, and exit interposition plus the /dev/erebor driver in
+// interposition.cc.
 #include "src/monitor/monitor.h"
 
 #include <cstring>
@@ -38,7 +38,8 @@ EreborMonitor::EreborMonitor(Machine* machine, TdxModule* tdx, HostVmm* host,
       rng_(0xE2EB02) {
   frame_table_ = std::make_unique<FrameTable>(machine->memory().num_frames());
   isolation_ = MakeIsolationBackend(isolation, machine->memory().num_frames());
-  policy_ = std::make_unique<MmuPolicy>(frame_table_.get(), isolation_.get());
+  policy_ = std::make_unique<MmuPolicy>(machine, frame_table_.get(), isolation_.get(),
+                                        &locks_.audit(), &counters_.tlb_shootdowns);
   gates_ = std::make_unique<EmcGates>(machine, isolation_.get());
   sandbox_mgr_ = std::make_unique<SandboxManager>(machine, frame_table_.get(),
                                                   policy_.get(), isolation_.get(),
@@ -129,14 +130,6 @@ Status EreborMonitor::BootStage1(const Bytes& firmware_image, bool arm_fence) {
   policy_->SetCommonValidator([this](Paddr root, FrameNum frame, bool writable) {
     return sandbox_mgr_->ValidateCommonMapping(root, frame, writable);
   });
-  // RetrofitKey rewrites live supervisor leaves behind the kernel's back, so the
-  // policy calls back here for the machine-wide shootdown.
-  policy_->SetTlbShootdown([this](Paddr entry_pa) {
-    CounterAdd(counters_.tlb_shootdowns);
-    if (Tlb::hooks().retrofit_shootdown) {
-      machine_->ShootdownTlbLeaf(entry_pa);
-    }
-  });
   stage1_done_ = true;
   return OkStatus();
 }
@@ -193,83 +186,6 @@ StatusOr<KernelImage> EreborMonitor::LoadKernelImage(const Bytes& kelf_bytes) {
 
   kernel_loaded_ = true;
   return image;
-}
-
-Status EreborMonitor::AuditInvariants() {
-  PhysMemory& memory = machine_->memory();
-  for (FrameNum frame = 0; frame < frame_table_->size(); ++frame) {
-    const FrameInfo& info = frame_table_->info(frame);
-    // Check the recorded supervisor mapping (the direct-map view) of special frames.
-    Pte leaf = 0;
-    if (info.supervisor_leaf_pa != 0) {
-      leaf = memory.Read64(info.supervisor_leaf_pa);
-      if (pte::Present(leaf) && pte::Frame(leaf) != frame) {
-        leaf = 0;  // stale reverse-map record; not a violation by itself
-      }
-    }
-    switch (info.type) {
-      case FrameType::kSandboxConfined:
-        if (info.map_count > 1) {
-          return InternalError("confined frame " + std::to_string(frame) +
-                               " mapped " + std::to_string(info.map_count) + " times");
-        }
-        if (kernel_ != nullptr &&
-            kernel_->kernel_aspace().Lookup(layout::DirectMap(AddrOf(frame))).ok()) {
-          return InternalError("confined frame " + std::to_string(frame) +
-                               " still reachable via the kernel direct map");
-        }
-        // Backend audit: TME-MK verifies the frame is bound to its owner's keyID.
-        EREBOR_RETURN_IF_ERROR(isolation_->AuditFrame(frame, info, leaf));
-        break;
-      case FrameType::kMonitor:
-        // Backend audit: PKS checks the monitor key on the mapping, TME-MK the
-        // monitor binding at the controller.
-        EREBOR_RETURN_IF_ERROR(isolation_->AuditFrame(frame, info, leaf));
-        break;
-      case FrameType::kPtp:
-        EREBOR_RETURN_IF_ERROR(isolation_->AuditFrame(frame, info, leaf));
-        if (pte::Present(leaf) && pte::User(leaf)) {
-          return InternalError("PTP frame " + std::to_string(frame) +
-                               " user-accessible");
-        }
-        break;
-      case FrameType::kKernelText:
-        if (pte::Present(leaf) && pte::Writable(leaf)) {
-          return InternalError("kernel-text frame " + std::to_string(frame) +
-                               " writable");
-        }
-        EREBOR_RETURN_IF_ERROR(isolation_->AuditFrame(frame, info, leaf));
-        break;
-      case FrameType::kSandboxTemplate:
-        // Shared read-only into every clone: unlike confined frames there is
-        // no map-count cap, but the direct map must not reach the frame and no
-        // recorded supervisor mapping may be writable. The backend audit pins
-        // the TME-MK binding to keyID 0 + read-shared.
-        if (kernel_ != nullptr &&
-            kernel_->kernel_aspace().Lookup(layout::DirectMap(AddrOf(frame))).ok()) {
-          return InternalError("template frame " + std::to_string(frame) +
-                               " still reachable via the kernel direct map");
-        }
-        if (pte::Present(leaf) && pte::Writable(leaf)) {
-          return InternalError("template frame " + std::to_string(frame) +
-                               " has a writable supervisor mapping");
-        }
-        EREBOR_RETURN_IF_ERROR(isolation_->AuditFrame(frame, info, leaf));
-        break;
-      case FrameType::kShadowStack:
-      case FrameType::kFirmware:
-      case FrameType::kSharedIo:
-      case FrameType::kSandboxCommon:
-      case FrameType::kNormal:
-        break;
-    }
-    // No private frame of a protected type may be shared with the host.
-    if (memory.IsShared(frame) && info.type != FrameType::kSharedIo) {
-      return InternalError("non-IO frame " + std::to_string(frame) +
-                           " is host-shared (" + FrameTypeName(info.type) + ")");
-    }
-  }
-  return OkStatus();
 }
 
 }  // namespace erebor

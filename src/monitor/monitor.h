@@ -49,14 +49,14 @@ inline constexpr uint64_t kProxyDeliverBatch = 6;
 struct MitigationConfig {
   // Rate limiting for sandbox exits: once a sandbox exceeds the budget within a
   // one-second (2.1e9-cycle) window, every further exit pays a stall.
+  static constexpr Cycles kExitStallCycles = 50'000;
   bool rate_limit_exits = false;
   uint64_t max_exits_per_window = 10'000;
-  Cycles exit_stall_cycles = 50'000;
 
   // Cache/TLB eviction-enforced exiting: flush on every sandbox exit so the kernel
   // cannot probe the sandbox's cache footprint.
+  static constexpr Cycles kFlushCycles = 30'000;
   bool flush_on_exit = false;
-  Cycles flush_cycles = 30'000;
 
   // Leakage-free quantized communication intervals: results are released only on
   // fixed interval boundaries, hiding processing time.
@@ -97,7 +97,6 @@ class EreborMonitor {
       rings_.Disable();
     }
   }
-  bool mmu_rings() const { return rings_.enabled(); }
   EmcRingTable& rings() { return rings_; }
   EmcRing* mmu_ring(int cpu_index) { return rings_.ring(cpu_index); }
 
@@ -166,12 +165,6 @@ class EreborMonitor {
   Status DebugInstallClientData(Cpu& cpu, Sandbox& sandbox, const Bytes& data);
   StatusOr<Bytes> DebugFetchOutput(Sandbox& sandbox);
 
-  // Walks the frame table and live mappings and verifies the global protection
-  // invariants (single-mapped confined frames, keyed monitor/PTP/text mappings,
-  // kernel W^X). Used as a test oracle and a debugging aid; returns the first
-  // violation found.
-  Status AuditInvariants();
-
   const MonitorCounters& counters() const { return counters_; }
   // Registry view of the same counters (every MonitorCounters field is registered as
   // an external cell under "monitor.<field>") plus monitor-owned histograms. The
@@ -199,10 +192,10 @@ class EreborMonitor {
   // Counts a policy denial and emits its trace event.
   void NoteDenial(Cpu& cpu);
 
-  // Software-TLB shootdown after a monitor PTE store: any rewrite of a previously
-  // present entry invalidates cached translations on every CPU. This is the monitor's
-  // own TLB obligation — it must hold even for a malicious kernel that skips invlpg.
-  void ShootdownAfterPteWrite(Cpu& cpu, Paddr entry_pa, Pte old_value, Pte new_value);
+  // The usercopy EMCs emulate the copy on the kernel's behalf and refuse any page
+  // of [va, va + len) that is a sealed sandbox's confined memory: the kernel must
+  // never move sandbox data. `direction` ("into"/"from") names the refusal.
+  Status ScreenUsercopy(Cpu& cpu, Vaddr va, uint64_t len, const char* direction);
 
   // Shared EMC bodies (locks held by the dispatcher): the synchronous EMCs and
   // the ring drain run the identical policy/apply sequence through these.

@@ -25,21 +25,20 @@ void SandboxManager::Attach(Kernel* kernel, FrameNum cma_first, uint64_t cma_fra
   cma_ = std::make_unique<FrameAllocator>(cma_first, cma_frames, &machine_->faults());
 }
 
+void SandboxManager::TrustedStore(Cpu& cpu, Paddr entry_pa, Pte value) {
+  cpu.cycles().Charge(cpu.costs().monitor_pte_op);
+  policy_->StorePte(PteStore::kTrusted, cpu.index(), entry_pa, value);
+}
+
 PteWriter SandboxManager::TrustedWriter(Cpu& cpu, AddressSpace& aspace) {
   // The monitor writes PTEs directly (it *is* the privileged mode) but keeps the
-  // frame-table map counts accurate and charges the monitor-op cost.
+  // PTP hierarchy metadata and frame-table map counts accurate. Trusted mapping
+  // into a live address space can rewrite present entries (e.g. U/S-widening an
+  // intermediate); the store shoots down cached walks through them.
   PteWriter writer;
   writer.write_pte = [this, &cpu](Paddr entry_pa, Pte value) -> Status {
-    const Pte old = machine_->memory().Read64(entry_pa);
-    machine_->memory().Write64(entry_pa, value);
-    cpu.cycles().Charge(cpu.costs().monitor_pte_op);
     policy_->NoteTrustedLink(entry_pa, value);
-    policy_->NoteLeafWrite(old, value, entry_pa);
-    // Trusted mapping into a live address space can rewrite present entries (e.g.
-    // U/S-widening an intermediate); cached walks through them must die.
-    if (Tlb::hooks().pte_shootdown && pte::Present(old) && old != value) {
-      machine_->ShootdownTlbLeaf(entry_pa, cpu.index());
-    }
+    TrustedStore(cpu, entry_pa, value);
     return OkStatus();
   };
   writer.alloc_ptp = [this, &cpu, &aspace]() -> StatusOr<FrameNum> {
@@ -51,8 +50,7 @@ PteWriter SandboxManager::TrustedWriter(Cpu& cpu, AddressSpace& aspace) {
     frames_->info(frame).ptp_level = 0;  // linked when first referenced
     // Pool frames keep their default-tag direct-map leaf: re-tag it so the kernel
     // cannot forge entries in the sandbox's page tables through the direct map.
-    EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, machine_->memory(), frame,
-                                                ProtClass::kPtp, false));
+    EREBOR_RETURN_IF_ERROR(policy_->RetrofitTag(&cpu, frame, ProtClass::kPtp, false));
     return frame;
   };
   return writer;
@@ -108,14 +106,9 @@ Status SandboxManager::UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t cou
     if (!walk.ok()) {
       continue;
     }
-    const Pte old = machine_->memory().Read64(walk->leaf_entry_pa);
-    machine_->memory().Write64(walk->leaf_entry_pa, 0);
-    cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-    policy_->NoteLeafWrite(old, 0, walk->leaf_entry_pa);
-    // Single-mapping is only real if no CPU can still hit the direct-map translation.
-    if (Tlb::hooks().pte_shootdown && pte::Present(old)) {
-      machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-    }
+    // Single-mapping is only real if no CPU can still hit the direct-map
+    // translation: the store shoots it down.
+    TrustedStore(cpu, walk->leaf_entry_pa, 0);
   }
   return OkStatus();
 }
@@ -190,14 +183,10 @@ Status SandboxManager::SnapshotTemplate(Cpu& cpu, Sandbox& sandbox) {
       if (va == vma.start) {
         range.first = FrameOf(walk.pa);
       }
-      const Pte updated = isolation_->WithTag(walk.leaf & ~pte::kWritable, 0);
-      machine_->memory().Write64(walk.leaf_entry_pa, updated);
-      cpu.cycles().Charge(cpu.costs().monitor_pte_op);
       // W revocation must reach cached translations before any clone shares
       // the frame, or the template itself could keep scribbling on it.
-      if (Tlb::hooks().pte_shootdown && updated != walk.leaf) {
-        machine_->ShootdownTlbLeaf(walk.leaf_entry_pa, cpu.index());
-      }
+      TrustedStore(cpu, walk.leaf_entry_pa,
+                   isolation_->WithTag(walk.leaf & ~pte::kWritable, 0));
     }
     Vma* mutable_vma = sandbox.aspace->FindVma(start);
     mutable_vma->flags &= ~pte::kWritable;
@@ -379,15 +368,6 @@ StatusOr<CommonRegion*> SandboxManager::CreateCommonRegion(const std::string& na
   return &common_regions_.back();
 }
 
-CommonRegion* SandboxManager::FindCommonRegion(const std::string& name) {
-  for (auto& region : common_regions_) {
-    if (region.name == name) {
-      return &region;
-    }
-  }
-  return nullptr;
-}
-
 Status SandboxManager::AttachCommon(Cpu& cpu, Sandbox& sandbox, int region_id, Vaddr va,
                                     bool writable_until_seal) {
   NoteSandboxMutation(cpu, sandbox);
@@ -440,13 +420,8 @@ Status SandboxManager::Seal(Cpu& cpu, Sandbox& sandbox) {
       if (!walk.ok()) {
         continue;
       }
-      const Pte updated = walk->leaf & ~pte::kWritable;
-      machine_->memory().Write64(walk->leaf_entry_pa, updated);
-      cpu.cycles().Charge(cpu.costs().monitor_pte_op);
       // Seal-time W revocation on common pages must reach cached translations too.
-      if (Tlb::hooks().pte_shootdown && updated != walk->leaf) {
-        machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-      }
+      TrustedStore(cpu, walk->leaf_entry_pa, walk->leaf & ~pte::kWritable);
     }
     // Future demand-mappings of this VMA must be read-only too.
     Vma* mutable_vma = sandbox.aspace->FindVma(start);
@@ -493,13 +468,7 @@ Status SandboxManager::Teardown(Cpu& cpu, Sandbox& sandbox) {
         if (!walk.ok()) {
           continue;
         }
-        const Pte old = machine_->memory().Read64(walk->leaf_entry_pa);
-        machine_->memory().Write64(walk->leaf_entry_pa, 0);
-        cpu.cycles().Charge(cpu.costs().monitor_pte_op);
-        policy_->NoteLeafWrite(old, 0, walk->leaf_entry_pa);
-        if (Tlb::hooks().pte_shootdown && pte::Present(old)) {
-          machine_->ShootdownTlbLeaf(walk->leaf_entry_pa, cpu.index());
-        }
+        TrustedStore(cpu, walk->leaf_entry_pa, 0);
       }
     }
   }

@@ -23,13 +23,15 @@
 
 namespace erebor {
 
+// Strikes tolerated before the monitor fences off their source: a sandbox's
+// consecutive shepherd/channel faults quarantine it, and hostile submissions to
+// an MMU ring poison the ring.
+inline constexpr uint32_t kStrikeLimit = 8;
+
 struct SandboxSpec {
   std::string name;
   uint64_t confined_budget_bytes = 32ull << 20;
-  int max_threads = 8;
   uint64_t output_pad_bytes = 4096;
-  // Consecutive shepherd/channel faults tolerated before the sandbox is quarantined.
-  uint64_t max_fault_strikes = 8;
 };
 
 // kQuarantined is a terminal state like kTornDown (memory already scrubbed and
@@ -86,7 +88,7 @@ struct Sandbox {
   uint64_t exits_in_window = 0;
 
   // Graceful-degradation accounting: consecutive faults observed on this sandbox's
-  // trusted paths (reset to zero on any success). Reaching spec.max_fault_strikes
+  // trusted paths (reset to zero on any success). Reaching kStrikeLimit
   // quarantines the sandbox.
   uint64_t fault_strikes = 0;
   std::string quarantine_reason;
@@ -175,7 +177,6 @@ class SandboxManager {
   // Common regions.
   StatusOr<CommonRegion*> CreateCommonRegion(const std::string& name, uint64_t len,
                                              FrameAllocator& pool);
-  CommonRegion* FindCommonRegion(const std::string& name);
   Status AttachCommon(Cpu& cpu, Sandbox& sandbox, int region_id, Vaddr va,
                       bool writable_until_seal);
 
@@ -216,10 +217,12 @@ class SandboxManager {
 
   const std::map<int, std::unique_ptr<Sandbox>>& sandboxes() const { return sandboxes_; }
   std::map<int, std::unique_ptr<Sandbox>>& mutable_sandboxes() { return sandboxes_; }
-  uint64_t cma_frames_used() const { return cma_ ? cma_->used() : 0; }
 
  private:
   Status UnmapFromDirectMap(Cpu& cpu, FrameNum first, uint64_t count);
+  // Every page-table store of the manager: one monitor PTE op, then the policy's
+  // trusted store (map counts, reverse map, shootdown).
+  void TrustedStore(Cpu& cpu, Paddr entry_pa, Pte value);
   PteWriter TrustedWriter(Cpu& cpu, AddressSpace& aspace);
   // Lock-discipline probe at every sandbox mutation entry point: a gated (EMC)
   // caller must hold this sandbox's lock (or the global lock in kGlobal mode).

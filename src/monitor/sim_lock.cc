@@ -1,7 +1,6 @@
 #include "src/monitor/sim_lock.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/common/exec.h"
 #include "src/common/faultpoint.h"
@@ -24,22 +23,15 @@ void SimLock::Acquire(Cpu& cpu, EmcLockTable& table) {
     // counters and cycles identical to the single-thread oracle (which runs
     // with contention simulation off when being compared against this mode).
     if (!mu_->try_lock()) {
-      const auto t0 = std::chrono::steady_clock::now();
       mu_->lock();
-      const auto waited = std::chrono::steady_clock::now() - t0;
       CounterAdd(real_contended_);
-      CounterAdd(real_wait_ns_,
-                 static_cast<uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                         .count()));
     }
-    // Everything below runs under the backing mutex, so held_/holder_ and the
+    // Everything below runs under the backing mutex, so held_ and the
     // acquisition count are mutated race-free; the audit's per-CPU stack is
     // this thread's own.
     table.audit().NoteAcquire(cpu.index(), this);
     ++acquisitions_;
     held_ = true;
-    holder_ = cpu.index();
     return;
   }
   table.audit().NoteAcquire(cpu.index(), this);
@@ -53,7 +45,6 @@ void SimLock::Acquire(Cpu& cpu, EmcLockTable& table) {
   }
   ++acquisitions_;
   held_ = true;
-  holder_ = cpu.index();
 }
 
 void SimLock::Release(Cpu& cpu, EmcLockTable& table) {
@@ -62,7 +53,6 @@ void SimLock::Release(Cpu& cpu, EmcLockTable& table) {
     free_at_ = std::max(free_at_, cpu.cycles().now());
   }
   held_ = false;
-  holder_ = -1;
   table.audit().NoteRelease(cpu.index(), this);
   if (real) {
     mu_->unlock();

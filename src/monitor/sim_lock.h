@@ -20,7 +20,7 @@
 // Under ExecutionEngine::real_threads() every SimLock is backed by a real
 // std::mutex: Acquire blocks the calling OS thread, Release unlocks it, and the
 // same LockAudit rank discipline is enforced with the same lock-site names. Real
-// contention is *observed* (real_contended_ / real_wait_ns_) but never charged
+// contention is *observed* (real_contended_) but never charged
 // as simulated cycles and never traced as kLockContend — wall-clock ordering may
 // differ between runs, charged cycles may not, so a threaded run stays counter-
 // and cycle-identical to a single-thread run with contention simulation off.
@@ -88,7 +88,6 @@ class SimLock {
   int rank() const { return rank_; }
   int sub() const { return sub_; }
   bool held() const { return held_; }
-  int holder() const { return holder_; }
 
   uint64_t acquisitions() const { return acquisitions_; }
   uint64_t contended() const { return contended_; }
@@ -96,7 +95,6 @@ class SimLock {
   // Real-thread contention observations (not part of the simulated cycle model;
   // the emc_scaling bench reports them alongside wall-clock throughput).
   uint64_t real_contended() const { return real_contended_; }
-  uint64_t real_wait_ns() const { return real_wait_ns_; }
 
  private:
   std::string name_;
@@ -104,12 +102,10 @@ class SimLock {
   int sub_ = 0;
   Cycles free_at_ = 0;  // simulated end of the last critical section
   bool held_ = false;
-  int holder_ = -1;
   uint64_t acquisitions_ = 0;
   uint64_t contended_ = 0;
   Cycles contention_cycles_ = 0;
   uint64_t real_contended_ = 0;
-  uint64_t real_wait_ns_ = 0;
   // Backing mutex for kRealThreads. shared_ptr keeps SimLock copy-assignable
   // (EmcLockTable builds its shard array by assignment at construction time,
   // strictly before any thread exists); every named construction gets a fresh

@@ -1,4 +1,4 @@
-#include "src/monitor/invariants.h"
+#include "src/sim/invariants.h"
 
 #include <algorithm>
 #include <set>
@@ -16,7 +16,6 @@ void InvariantChecker::AddSecret(const Bytes& pattern) {
 }
 
 Status InvariantChecker::CheckAll() {
-  ++checks_run_;
   MetricsRegistry::Global().Increment("invariants.checks");
   for (Status st :
        {CheckFrames(), CheckGates(), CheckSecrets(), CheckLocks(), CheckRings(),
@@ -30,7 +29,88 @@ Status InvariantChecker::CheckAll() {
   return OkStatus();
 }
 
-Status InvariantChecker::CheckFrames() { return monitor_->AuditInvariants(); }
+Status InvariantChecker::CheckFrames() {
+  PhysMemory& memory = monitor_->machine().memory();
+  const FrameTable& frames = monitor_->frame_table();
+  const IsolationBackend& iso = monitor_->isolation();
+  Kernel* kernel = monitor_->attached_kernel();
+  // True when the kernel's direct map still translates the frame.
+  const auto direct_mapped = [kernel](FrameNum frame) {
+    return kernel != nullptr &&
+           kernel->kernel_aspace().Lookup(layout::DirectMap(AddrOf(frame))).ok();
+  };
+  for (FrameNum frame = 0; frame < frames.size(); ++frame) {
+    const FrameInfo& info = frames.info(frame);
+    // Check the recorded supervisor mapping (the direct-map view) of special frames.
+    Pte leaf = 0;
+    if (info.supervisor_leaf_pa != 0) {
+      leaf = memory.Read64(info.supervisor_leaf_pa);
+      if (pte::Present(leaf) && pte::Frame(leaf) != frame) {
+        leaf = 0;  // stale reverse-map record; not a violation by itself
+      }
+    }
+    switch (info.type) {
+      case FrameType::kSandboxConfined:
+        if (info.map_count > 1) {
+          return InternalError("confined frame " + std::to_string(frame) +
+                               " mapped " + std::to_string(info.map_count) + " times");
+        }
+        if (direct_mapped(frame)) {
+          return InternalError("confined frame " + std::to_string(frame) +
+                               " still reachable via the kernel direct map");
+        }
+        // Backend audit: TME-MK verifies the frame is bound to its owner's keyID.
+        EREBOR_RETURN_IF_ERROR(iso.AuditFrame(frame, info, leaf));
+        break;
+      case FrameType::kMonitor:
+        // Backend audit: PKS checks the monitor key on the mapping, TME-MK the
+        // monitor binding at the controller.
+        EREBOR_RETURN_IF_ERROR(iso.AuditFrame(frame, info, leaf));
+        break;
+      case FrameType::kPtp:
+        EREBOR_RETURN_IF_ERROR(iso.AuditFrame(frame, info, leaf));
+        if (pte::Present(leaf) && pte::User(leaf)) {
+          return InternalError("PTP frame " + std::to_string(frame) +
+                               " user-accessible");
+        }
+        break;
+      case FrameType::kKernelText:
+        if (pte::Present(leaf) && pte::Writable(leaf)) {
+          return InternalError("kernel-text frame " + std::to_string(frame) +
+                               " writable");
+        }
+        EREBOR_RETURN_IF_ERROR(iso.AuditFrame(frame, info, leaf));
+        break;
+      case FrameType::kSandboxTemplate:
+        // Shared read-only into every clone: unlike confined frames there is
+        // no map-count cap, but the direct map must not reach the frame and no
+        // recorded supervisor mapping may be writable. The backend audit pins
+        // the TME-MK binding to keyID 0 + read-shared.
+        if (direct_mapped(frame)) {
+          return InternalError("template frame " + std::to_string(frame) +
+                               " still reachable via the kernel direct map");
+        }
+        if (pte::Present(leaf) && pte::Writable(leaf)) {
+          return InternalError("template frame " + std::to_string(frame) +
+                               " has a writable supervisor mapping");
+        }
+        EREBOR_RETURN_IF_ERROR(iso.AuditFrame(frame, info, leaf));
+        break;
+      case FrameType::kShadowStack:
+      case FrameType::kFirmware:
+      case FrameType::kSharedIo:
+      case FrameType::kSandboxCommon:
+      case FrameType::kNormal:
+        break;
+    }
+    // No private frame of a protected type may be shared with the host.
+    if (memory.IsShared(frame) && info.type != FrameType::kSharedIo) {
+      return InternalError("non-IO frame " + std::to_string(frame) +
+                           " is host-shared (" + FrameTypeName(info.type) + ")");
+    }
+  }
+  return OkStatus();
+}
 
 Status InvariantChecker::CheckGates() {
   if (!monitor_->stage1_done()) {
@@ -112,7 +192,7 @@ Status InvariantChecker::CheckRings() {
     }
     // A ring at the strike limit must be poisoned — an unpoisoned ring past the
     // limit means a strike path forgot containment.
-    if (rs->strikes >= EmcRingTable::kStrikeLimit && !rs->poisoned) {
+    if (rs->strikes >= kStrikeLimit && !rs->poisoned) {
       return InternalError(who + ": strike limit reached but ring not poisoned");
     }
   }

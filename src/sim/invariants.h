@@ -1,11 +1,16 @@
 // Monitor invariant checker: the oracle run after injected faults (and on a cadence
 // during chaos soaks) to prove that no fault — wherever it landed — degraded the
-// security posture. Three families of invariants, each checkable at any *safe point*
-// (between scheduler slices, with no CPU mid-gate):
+// security posture. It is a test and simulation oracle, not part of the monitor:
+// it lives in erebor_sim, outside the TCB that scripts/tcb_loc.sh counts, and reads
+// monitor state only through EreborMonitor's public accessors. Seven families of
+// invariants, each checkable at any *safe point* (between scheduler slices, with no
+// CPU mid-gate):
 //
-//  1. Frames: monitor/PTP/text frames carry their PKS keys, confined frames are
-//     single-mapped and unreachable through the kernel direct map, no protected frame
-//     is host-shared (delegates to EreborMonitor::AuditInvariants).
+//  1. Frames: walking the frame table's reverse map, monitor/PTP/text frames carry
+//     their protection tags (the backend's AuditFrame), kernel text and template
+//     frames have no writable supervisor mapping, PTPs are not user-accessible,
+//     confined frames are single-mapped and unreachable through the kernel direct
+//     map, and no frame outside the shared-IO window is host-shared.
 //  2. Gates: every CPU is back in kernel mode — PKRS == KernelModePkrs(), S_CET still
 //     has IBT+shadow-stack enabled, and the #INT-gate save stack is empty (an entry
 //     left on it means some exit path skipped its restore).
@@ -27,8 +32,8 @@
 //     exactly one backend domain (unique, non-zero, matching the backend's own
 //     record), torn-down sandboxes hold none, and the live count never exceeds
 //     the backend's budget.
-#ifndef EREBOR_SRC_MONITOR_INVARIANTS_H_
-#define EREBOR_SRC_MONITOR_INVARIANTS_H_
+#ifndef EREBOR_SRC_SIM_INVARIANTS_H_
+#define EREBOR_SRC_SIM_INVARIANTS_H_
 
 #include <vector>
 
@@ -52,7 +57,7 @@ class InvariantChecker {
   // Runs every family; returns the first violation (InternalError) or OkStatus.
   Status CheckAll();
 
-  Status CheckFrames();   // family 1 (AuditInvariants)
+  Status CheckFrames();   // family 1 (frame-table reverse map)
   Status CheckGates();    // family 2
   Status CheckSecrets();  // family 3
   Status CheckLocks();       // family 4 (LockAudit discipline)
@@ -60,16 +65,14 @@ class InvariantChecker {
   Status CheckQuarantine();  // family 6 (quarantined sandboxes hold nothing live)
   Status CheckDomains();     // family 7 (isolation-domain accounting)
 
-  uint64_t checks_run() const { return checks_run_; }
   uint64_t violations() const { return violations_; }
 
  private:
   EreborMonitor* monitor_;
   std::vector<Bytes> secrets_;
-  uint64_t checks_run_ = 0;
   uint64_t violations_ = 0;
 };
 
 }  // namespace erebor
 
-#endif  // EREBOR_SRC_MONITOR_INVARIANTS_H_
+#endif  // EREBOR_SRC_SIM_INVARIANTS_H_

@@ -19,7 +19,7 @@
 #include "src/host/attacks.h"
 #include "src/hw/isolation.h"
 #include "src/libos/libos.h"
-#include "src/monitor/invariants.h"
+#include "src/sim/invariants.h"
 
 namespace erebor {
 

@@ -95,7 +95,6 @@ RunReport RunWorkload(Workload& workload, SimMode mode, const RunnerOptions& opt
     SandboxSpec spec;
     spec.name = workload.name();
     spec.confined_budget_bytes = manifest.heap_bytes + (4ull << 20);
-    spec.max_threads = manifest.num_threads;
     spec.output_pad_bytes = manifest.output_pad_bytes;
     auto sb = world.LaunchSandboxProcess(workload.name(), spec, std::move(program), &task);
     if (!sb.ok()) {

@@ -5,6 +5,7 @@
 #include "src/client/client.h"
 #include "src/common/faultpoint.h"
 #include "src/common/metrics.h"
+#include "src/crypto/sha256.h"
 #include "src/libos/libos.h"
 #include "src/sim/world.h"
 
@@ -300,6 +301,41 @@ TEST_F(ChannelE2eTest, FullAttestationAndDataRoundTrip) {
   world_->ClientSend(client.MakeFin());
   ASSERT_TRUE(
       world_->RunUntil([&] { return sandbox_->state == SandboxState::kTornDown; }).ok());
+}
+
+// Invariant family 3 (secrets): a registered client plaintext delivered through
+// RemoteClient -> proxy -> sealed sandbox lives only in confined memory, so the
+// honest run is clean; the same bytes planted in a kernel pool frame trip it.
+TEST_F(ChannelE2eTest, SecretInvariantCleanOnDeliveryAndTripsOnKernelLeak) {
+  const Digest256 digest = Sha256::Hash("family-3 client secret");
+  const Bytes secret(digest.begin(), digest.end());
+  InvariantChecker checker(world_->monitor());
+  checker.AddSecret(secret);
+
+  RemoteClient client(world_->MakeTrustAnchors(), /*seed=*/80);
+  world_->ClientSend(client.MakeHello(sandbox_->id));
+  auto server_hello = PumpUntilClientPacket();
+  ASSERT_TRUE(server_hello.ok()) << server_hello.status().ToString();
+  ASSERT_TRUE(client.ProcessServerHello(*server_hello).ok());
+  world_->ClientSend(client.SealData(secret));
+  auto result_wire = PumpUntilClientPacket();
+  ASSERT_TRUE(result_wire.ok()) << result_wire.status().ToString();
+  ASSERT_TRUE(client.OpenResult(*result_wire).ok());
+  ASSERT_TRUE(served_);
+  ASSERT_EQ(sandbox_->state, SandboxState::kSealed);
+  const Status honest = checker.CheckAll();
+  EXPECT_TRUE(honest.ok()) << "plaintext leaked on the honest path: "
+                           << honest.ToString();
+
+  auto frame = world_->kernel().pool().Alloc();
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE(world_->machine()
+                  .memory()
+                  .Write(AddrOf(*frame) + 100, secret.data(), secret.size())
+                  .ok());
+  const Status leaked = checker.CheckSecrets();
+  EXPECT_EQ(leaked.code(), ErrorCode::kInternal) << leaked.ToString();
+  EXPECT_FALSE(checker.CheckAll().ok());
 }
 
 TEST_F(ChannelE2eTest, ClientRejectsWrongMeasurement) {
@@ -766,11 +802,15 @@ TEST(RecordWireTest, ParseOpenRoundTripAndRejections) {
 
 // ---- Reorder buffer hygiene (the stale-stash leak) ----
 
-SealedRecord MakeStashRecord(uint64_t seq) {
-  SealedRecord record;
-  record.sequence = seq;
-  record.ciphertext = ToBytes("stash payload");
-  return record;
+// A zero-copy view of a record at `seq`; the reorder buffer copies the payload
+// only when it stashes the record.
+RecordView MakeStashRecord(uint64_t seq) {
+  static const Bytes kPayload = ToBytes("stash payload");
+  RecordView view;
+  view.sequence = seq;
+  view.ciphertext = kPayload.data();
+  view.ciphertext_len = kPayload.size();
+  return view;
 }
 
 TEST(ChannelSessionTest, StaleStashEntryPrunedWhenGapFillsInSequence) {
@@ -781,14 +821,14 @@ TEST(ChannelSessionTest, StaleStashEntryPrunedWhenGapFillsInSequence) {
   // exactly next_recv_seq.
   ChannelSession session;
   session.established = true;
-  EXPECT_EQ(session.AdmitRecord(1, MakeStashRecord(1)),
+  EXPECT_EQ(session.AdmitRecord(MakeStashRecord(1)),
             ChannelSession::RecordAdmit::kStashed);
   EXPECT_EQ(session.reorder.size(), 1u);
 
-  EXPECT_EQ(session.AdmitRecord(0, MakeStashRecord(0)),
+  EXPECT_EQ(session.AdmitRecord(MakeStashRecord(0)),
             ChannelSession::RecordAdmit::kInSequence);
   session.AdvanceRecv();
-  EXPECT_EQ(session.AdmitRecord(1, MakeStashRecord(1)),
+  EXPECT_EQ(session.AdmitRecord(MakeStashRecord(1)),
             ChannelSession::RecordAdmit::kInSequence);
   session.AdvanceRecv();
   EXPECT_TRUE(session.reorder.empty()) << "stale stash entry leaked";
@@ -800,18 +840,17 @@ TEST(ChannelSessionTest, ReorderBufferBoundedAtWindowAndDrainsEmpty) {
   session.established = true;
   // Fill the entire window ahead of the gap at 0.
   for (uint64_t seq = 1; seq <= ChannelSession::kReorderWindow; ++seq) {
-    EXPECT_EQ(session.AdmitRecord(seq, MakeStashRecord(seq)),
+    EXPECT_EQ(session.AdmitRecord(MakeStashRecord(seq)),
               ChannelSession::RecordAdmit::kStashed);
     EXPECT_LE(session.reorder.size(), ChannelSession::kReorderWindow);
   }
   // One past the window is refused outright, never stashed.
-  EXPECT_EQ(session.AdmitRecord(ChannelSession::kReorderWindow + 1,
-                                MakeStashRecord(ChannelSession::kReorderWindow + 1)),
+  EXPECT_EQ(session.AdmitRecord(MakeStashRecord(ChannelSession::kReorderWindow + 1)),
             ChannelSession::RecordAdmit::kRejected);
   EXPECT_EQ(session.reorder.size(), ChannelSession::kReorderWindow);
 
   // The gap fills: drain everything, checking the bound at every step.
-  EXPECT_EQ(session.AdmitRecord(0, MakeStashRecord(0)),
+  EXPECT_EQ(session.AdmitRecord(MakeStashRecord(0)),
             ChannelSession::RecordAdmit::kInSequence);
   session.AdvanceRecv();
   SealedRecord drained;

@@ -444,7 +444,7 @@ TEST(ChaosLockDisciplineTest, PreemptionAtLockBoundariesKeepsDisciplineIntact) {
   for (int c = 0; c < world->machine().num_cpus(); ++c) {
     EXPECT_TRUE(world->monitor()->locks().audit().NothingHeld(c)) << "vCPU " << c;
   }
-  EXPECT_TRUE(world->monitor()->AuditInvariants().ok());
+  EXPECT_TRUE(InvariantChecker(world->monitor()).CheckFrames().ok());
   world->DisableChaos();
 }
 
@@ -482,7 +482,7 @@ TEST(ChaosLockDisciplineTest, QuarantineUnderLockPreemptionConfinesTheVictim) {
   world->kernel().Run(60);
   EXPECT_EQ(RunChaosSession(*world, *survivor, /*client_seed=*/34), Outcome::kCompleted);
   EXPECT_EQ(world->monitor()->locks().audit().violations(), 0u);
-  EXPECT_TRUE(world->monitor()->AuditInvariants().ok());
+  EXPECT_TRUE(InvariantChecker(world->monitor()).CheckFrames().ok());
 }
 
 TEST(ChaosFrameExhaustionTest, TransientAllocatorExhaustionRecovers) {

@@ -23,7 +23,7 @@
 #include "src/common/metrics.h"
 #include "src/fleet/supervisor.h"
 #include "src/libos/libos.h"
-#include "src/monitor/invariants.h"
+#include "src/sim/invariants.h"
 #include "src/sim/world.h"
 
 namespace erebor {

@@ -15,7 +15,6 @@
 #include "src/client/client.h"
 #include "src/common/metrics.h"
 #include "src/libos/libos.h"
-#include "src/monitor/invariants.h"
 #include "src/sim/world.h"
 
 namespace erebor {
@@ -44,11 +43,12 @@ struct ServeStats {
 
 class CloneTest : public testing::Test {
  protected:
-  void Boot(IsolationKind isolation) {
+  void Boot(IsolationKind isolation, int num_cpus = 1) {
     WorldConfig config;
     config.mode = SimMode::kEreborFull;
     config.isolation = isolation;
     config.machine.memory_frames = 32 * 1024;
+    config.machine.num_cpus = num_cpus;
     world_ = std::make_unique<World>(config);
     ASSERT_TRUE(world_->Boot().ok());
     ASSERT_TRUE(world_->StartProxy().ok());
@@ -275,6 +275,110 @@ TEST_P(CloneEquivalenceTest, SteadyStateFingerprintMatchesColdBoot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, CloneEquivalenceTest,
+                         testing::Values(IsolationKind::kPks,
+                                         IsolationKind::kTmeMk),
+                         [](const testing::TestParamInfo<IsolationKind>& info) {
+                           return info.param == IsolationKind::kPks ? "Pks"
+                                                                    : "TmeMk";
+                         });
+
+// Pins the monitor's trusted page-table stores across the whole sandbox
+// lifecycle: template snapshot, clone, CoW break, shepherd copy-in (which
+// breaks a second share), seal with a mapped common page, teardown,
+// quarantine and the template's own teardown. The goldens are the frame
+// table's reverse map (every frame's map_count and supervisor_leaf_pa), the
+// monitor's shootdown counter, the machine-wide shootdown count and every
+// vCPU's simulated clock, so any change to what a store does to the frame
+// table, the TLB or the cycle model shows here.
+struct LifecycleGolden {
+  uint64_t frame_hash;
+  uint64_t monitor_shootdowns;
+  uint64_t machine_shootdowns;
+  Cycles cpu0_cycles;
+  Cycles cpu1_cycles;
+};
+
+class CloneLifecycleTest : public CloneTest,
+                           public testing::WithParamInterface<IsolationKind> {};
+
+TEST_P(CloneLifecycleTest, FrameTableShootdownsAndCyclesMatchGoldens) {
+  Boot(GetParam(), /*num_cpus=*/2);
+  const uint64_t shootdowns_before = Tlb::GlobalStats().shootdowns;
+  BootTemplate();
+  ASSERT_FALSE(tmpl_->template_ranges.empty());
+  const Sandbox::TemplateRange& range = tmpl_->template_ranges.front();
+  ASSERT_GE(range.count, 2u);
+
+  auto region = world_->monitor()->CreateCommonRegion("lifecycle", 2 * kPageSize);
+  ASSERT_TRUE(region.ok());
+  auto wrote = std::make_shared<bool>(false);
+  auto clone = world_->LaunchCloneProcess(
+      "lifecycle", *tmpl_, Spec("lifecycle"),
+      [wrote](SyscallContext& ctx) -> StepOutcome {
+        if (!*wrote) {
+          // Demand-faults a writable common mapping that the seal revokes.
+          const Bytes init = ToBytes("provider init");
+          EXPECT_TRUE(ctx.WriteUser(kLibosCommonBase, init.data(), init.size()).ok());
+          *wrote = true;
+        }
+        return StepOutcome::kYield;
+      });
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  Sandbox& sandbox = **clone;
+  ASSERT_TRUE(world_->monitor()
+                  ->AttachCommon(cpu(), sandbox, (*region)->id, kLibosCommonBase,
+                                 /*writable_until_seal=*/true)
+                  .ok());
+  ASSERT_TRUE(world_->RunUntil([&] { return *wrote; }).ok());
+
+  SandboxManager& sandboxes = world_->monitor()->sandboxes();
+  ASSERT_TRUE(sandboxes.BreakCowShare(cpu(), sandbox, range.va).ok());
+  const Bytes input(300, 0x6B);
+  ASSERT_TRUE(sandboxes
+                  .CopyIntoSandbox(cpu(), sandbox, range.va + kPageSize, input.data(),
+                                   input.size())
+                  .ok());
+  EXPECT_EQ(sandbox.cow_broken_pages, 2u);
+  ASSERT_TRUE(sandboxes.Seal(cpu(), sandbox).ok());
+  ASSERT_TRUE(sandboxes.Teardown(cpu(), sandbox).ok());
+
+  Sandbox* doomed = MakeClone("doomed", nullptr);
+  ASSERT_NE(doomed, nullptr);
+  ASSERT_TRUE(sandboxes.BreakCowShare(cpu(), *doomed, range.va).ok());
+  ASSERT_TRUE(sandboxes.Quarantine(cpu(), *doomed, "lifecycle golden").ok());
+  ASSERT_TRUE(sandboxes.Teardown(cpu(), *tmpl_).ok());
+  EXPECT_TRUE(InvariantsClean());
+
+  LifecycleGolden got{};
+  got.frame_hash = 0xCBF29CE484222325ULL;  // FNV-1a over the reverse map
+  const auto mix = [&got](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      got.frame_hash = (got.frame_hash ^ ((value >> (8 * i)) & 0xFF)) *
+                       0x100000001B3ULL;
+    }
+  };
+  const FrameTable& frames = world_->monitor()->frame_table();
+  for (FrameNum frame = 0; frame < frames.size(); ++frame) {
+    mix(frames.info(frame).map_count);
+    mix(frames.info(frame).supervisor_leaf_pa);
+  }
+  got.monitor_shootdowns = world_->monitor()->counters().tlb_shootdowns;
+  got.machine_shootdowns = Tlb::GlobalStats().shootdowns - shootdowns_before;
+  got.cpu0_cycles = world_->machine().cpu(0).cycles().now();
+  got.cpu1_cycles = world_->machine().cpu(1).cycles().now();
+
+  const LifecycleGolden want =
+      GetParam() == IsolationKind::kPks
+          ? LifecycleGolden{0x1e4f99eda769ef54ULL, 85, 1308, 45037556, 2915621}
+          : LifecycleGolden{0x1e4f99eda769ef54ULL, 0, 1287, 22900912, 2747323};
+  EXPECT_EQ(got.frame_hash, want.frame_hash);
+  EXPECT_EQ(got.monitor_shootdowns, want.monitor_shootdowns);
+  EXPECT_EQ(got.machine_shootdowns, want.machine_shootdowns);
+  EXPECT_EQ(got.cpu0_cycles, want.cpu0_cycles);
+  EXPECT_EQ(got.cpu1_cycles, want.cpu1_cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CloneLifecycleTest,
                          testing::Values(IsolationKind::kPks,
                                          IsolationKind::kTmeMk),
                          [](const testing::TestParamInfo<IsolationKind>& info) {

@@ -381,7 +381,7 @@ std::vector<uint64_t> LockingModeFingerprint(EmcLocking mode) {
                     .ok());
   }
   EXPECT_EQ(monitor->locks().audit().violations(), 0u);
-  EXPECT_TRUE(monitor->AuditInvariants().ok());
+  EXPECT_TRUE(InvariantChecker(monitor).CheckFrames().ok());
 
   std::vector<uint64_t> fingerprint;
   for (int c = 0; c < world.machine().num_cpus(); ++c) {

@@ -129,7 +129,7 @@ class EmcRingTest : public testing::Test {
   }
 
   void ExpectInvariantsHold() {
-    const Status st = world_->monitor()->AuditInvariants();
+    const Status st = InvariantChecker(world_->monitor()).CheckFrames();
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
 
@@ -444,15 +444,15 @@ TEST_F(EmcRingTest, StrikeLimitPoisonsRingAndQuarantinesBoundSandbox) {
 
   uint32_t doorbells = 0;
   while (!state()->poisoned) {
-    ASSERT_LT(doorbells, 2 * EmcRingTable::kStrikeLimit) << "ring never poisoned";
+    ASSERT_LT(doorbells, 2 * kStrikeLimit) << "ring never poisoned";
     Publish({Hostile()});
     ASSERT_TRUE(Doorbell().ok());
     ReapAll();
     ExpectInvariantsHold();  // family-5 invariants hold after every drain
     ++doorbells;
   }
-  EXPECT_EQ(doorbells, EmcRingTable::kStrikeLimit);
-  EXPECT_GE(state()->strikes, EmcRingTable::kStrikeLimit);
+  EXPECT_EQ(doorbells, kStrikeLimit);
+  EXPECT_GE(state()->strikes, kStrikeLimit);
 
   // Poisoned: every further doorbell is refused before the gate.
   Publish({Nop()});
@@ -601,7 +601,7 @@ TEST_F(EmcRingTest, FuzzedWindowsNeverBreakInvariantsOrOvercharge) {
 
     // Family-5 invariants (shadow consistency, completion accounting,
     // poison-at-limit) must survive every single drain.
-    const Status audit = world_->monitor()->AuditInvariants();
+    const Status audit = InvariantChecker(world_->monitor()).CheckFrames();
     ASSERT_TRUE(audit.ok()) << "round " << round << ": " << audit.ToString();
   }
   EXPECT_GT(hostile_windows, 0u);

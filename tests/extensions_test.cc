@@ -184,6 +184,35 @@ TEST_F(HugePageSplitTest, SplitCoveringProtectedFramesIsRefused) {
             ErrorCode::kPermissionDenied);
 }
 
+// A split refused mid-range installs nothing: the frames validated before the
+// refused subpage keep their map counts and their direct-map reverse-map record,
+// which RetrofitTag needs to re-tag them later.
+TEST_F(HugePageSplitTest, RefusedSplitLeavesReverseMapUntouched) {
+  Cpu& cpu = world_->machine().cpu(0);
+  FrameTable& frames = world_->monitor()->frame_table();
+  const Paddr table = MakeLevel2Table();
+  const auto run = world_->kernel().pool().AllocContiguous(1024);
+  ASSERT_TRUE(run.ok());
+  const FrameNum base = (*run + 511) & ~0x1FFULL;  // 2 MiB aligned inside the run
+  constexpr uint64_t kRefusedAt = 5;
+  frames.info(base + kRefusedAt).type = FrameType::kSandboxConfined;
+  std::vector<FrameInfo> before;
+  for (uint64_t i = 0; i < kRefusedAt; ++i) {
+    before.push_back(frames.info(base + i));
+    ASSERT_NE(before.back().supervisor_leaf_pa, 0u) << "no direct-map record at " << i;
+  }
+  const Pte huge = pte::Make(base, pte::kPresent | pte::kWritable | pte::kNoExecute |
+                                       pte::kPageSize);
+  EXPECT_EQ(world_->privops().WritePte(cpu, table, huge).code(),
+            ErrorCode::kPermissionDenied);
+  for (uint64_t i = 0; i < kRefusedAt; ++i) {
+    EXPECT_EQ(frames.info(base + i).map_count, before[i].map_count) << "frame " << i;
+    EXPECT_EQ(frames.info(base + i).supervisor_leaf_pa, before[i].supervisor_leaf_pa)
+        << "frame " << i;
+  }
+  EXPECT_EQ(world_->machine().memory().Read64(table), 0u);
+}
+
 TEST_F(HugePageSplitTest, GigabytePagesStayRefused) {
   Cpu& cpu = world_->machine().cpu(0);
   FrameTable& frames = world_->monitor()->frame_table();

@@ -23,7 +23,7 @@
 #include "src/hw/platform.h"
 #include "src/libos/libos.h"
 #include "src/monitor/gates.h"
-#include "src/monitor/invariants.h"
+#include "src/sim/invariants.h"
 #include "src/monitor/isolation.h"
 #include "src/sim/world.h"
 

@@ -156,7 +156,7 @@ TEST(InvariantAuditTest, HoldsAfterBootAndAfterWorkload) {
   config.mode = SimMode::kEreborFull;
   World world(config);
   ASSERT_TRUE(world.Boot().ok());
-  EXPECT_TRUE(world.monitor()->AuditInvariants().ok());
+  EXPECT_TRUE(InvariantChecker(world.monitor()).CheckFrames().ok());
 
   RetrievalParams params;
   params.num_queries = 8'000;
@@ -179,7 +179,7 @@ TEST(InvariantAuditTest, HoldsAfterBootAndAfterWorkload) {
                                  })
                   .ok());
   ASSERT_TRUE(world.RunUntil([&] { return done; }).ok());
-  EXPECT_TRUE(world.monitor()->AuditInvariants().ok());
+  EXPECT_TRUE(InvariantChecker(world.monitor()).CheckFrames().ok());
 }
 
 TEST(InvariantAuditTest, DetectsViolations) {
@@ -194,7 +194,7 @@ TEST(InvariantAuditTest, DetectsViolations) {
   uint64_t args[3] = {AddrOf(layout::kGeneralPoolFirstFrame), 1, 1};
   ASSERT_TRUE(cpu.Tdcall(tdcall_leaf::kMapGpa, args, 3).ok());
   cpu.SetMonitorContext(false);
-  const Status audit = world.monitor()->AuditInvariants();
+  const Status audit = InvariantChecker(world.monitor()).CheckFrames();
   EXPECT_EQ(audit.code(), ErrorCode::kInternal);
   EXPECT_NE(audit.message().find("host-shared"), std::string::npos);
 }

@@ -185,7 +185,7 @@ testing::AssertionResult RunEngine(const EngineRunConfig& config,
     return testing::AssertionFailure()
            << "lock-discipline violations: " << monitor->locks().audit().violations();
   }
-  if (!monitor->AuditInvariants().ok()) {
+  if (!InvariantChecker(monitor).CheckFrames().ok()) {
     return testing::AssertionFailure() << "invariant audit failed";
   }
   if (config.chaos) {
@@ -471,7 +471,7 @@ testing::AssertionResult RunRingEngine(ExecMode exec, RingEngineResult* out) {
     return testing::AssertionFailure()
            << "lock-discipline violations: " << monitor->locks().audit().violations();
   }
-  if (!monitor->AuditInvariants().ok()) {
+  if (!InvariantChecker(monitor).CheckFrames().ok()) {
     return testing::AssertionFailure() << "invariant audit failed";
   }
 
